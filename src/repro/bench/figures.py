@@ -68,12 +68,11 @@ def _harness(
     default_cluster: Callable[[], Cluster] = dane,
     ppn: int | None,
     engine: str,
-    executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+    executor: SweepExecutor | None = None, faults=None,
 ) -> BenchmarkHarness:
     machine = cluster if cluster is not None else default_cluster()
     processes = ppn if ppn is not None else machine.cores_per_node
-    return BenchmarkHarness(machine, processes, engine=engine, executor=executor,
-                            engine_jobs=engine_jobs, faults=faults)
+    return BenchmarkHarness(machine, processes, engine=engine, executor=executor, faults=faults)
 
 
 def _valid_groups(ppn: int) -> list[int]:
@@ -121,10 +120,10 @@ def table1() -> list[dict[str, str]]:
 # Figures 7-10: size sweeps on Dane, 32 nodes
 # ---------------------------------------------------------------------------
 
-def figure07(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure07(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              msg_sizes=PAPER_MESSAGE_SIZES, num_nodes: int | None = None) -> FigureResult:
     """Figure 7: hierarchical vs multi-leader (4/8/16 processes per leader), 32 nodes of Dane."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     nodes = num_nodes or harness.cluster.num_nodes
     fig = FigureResult("fig07", "Hierarchical vs Multileader", "message size (bytes)",
                        configuration=harness.describe())
@@ -140,10 +139,10 @@ def figure07(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
     return fig
 
 
-def figure08(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure08(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              msg_sizes=PAPER_MESSAGE_SIZES, num_nodes: int | None = None) -> FigureResult:
     """Figure 8: node-aware vs locality-aware aggregation (4/8/16 processes per group)."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     nodes = num_nodes or harness.cluster.num_nodes
     fig = FigureResult("fig08", "Node-Aware vs Locality-Aware", "message size (bytes)",
                        configuration=harness.describe())
@@ -159,10 +158,10 @@ def figure08(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
     return fig
 
 
-def figure09(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure09(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              msg_sizes=PAPER_MESSAGE_SIZES, num_nodes: int | None = None) -> FigureResult:
     """Figure 9: multi-leader + node-aware for 4/8/16 processes per leader, with its two limits."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     nodes = num_nodes or harness.cluster.num_nodes
     fig = FigureResult("fig09", "Multileader + Locality", "message size (bytes)",
                        configuration=harness.describe())
@@ -205,10 +204,10 @@ def _all_algorithm_series(harness: BenchmarkHarness, fig: FigureResult, *, msg_s
             )
 
 
-def figure10(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure10(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              msg_sizes=PAPER_MESSAGE_SIZES, num_nodes: int | None = None) -> FigureResult:
     """Figure 10: all algorithms across message sizes on 32 nodes of Dane."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     nodes = num_nodes or harness.cluster.num_nodes
     fig = FigureResult("fig10", "Various Sizes, 32 Nodes", "message size (bytes)",
                        configuration=harness.describe())
@@ -220,10 +219,10 @@ def figure10(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
 # Figures 11-12: node scaling
 # ---------------------------------------------------------------------------
 
-def figure11(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure11(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              node_counts=PAPER_NODE_COUNTS) -> FigureResult:
     """Figure 11: node scaling at 4 bytes per process pair."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     fig = FigureResult("fig11", "Message Size: 4 bytes, Node Scaling", "nodes",
                        configuration=harness.describe())
     _all_algorithm_series(harness, fig, msg_sizes=None,
@@ -231,10 +230,10 @@ def figure11(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
     return fig
 
 
-def figure12(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure12(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              node_counts=PAPER_NODE_COUNTS) -> FigureResult:
     """Figure 12: node scaling at 4096 bytes per process pair."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     fig = FigureResult("fig12", "Message Size: 4096 bytes, Node Scaling", "nodes",
                        configuration=harness.describe())
     _all_algorithm_series(harness, fig, msg_sizes=None,
@@ -246,10 +245,10 @@ def figure12(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
 # Figures 13-16: intra- vs inter-node breakdowns
 # ---------------------------------------------------------------------------
 
-def figure13(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure13(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              msg_sizes=PAPER_MESSAGE_SIZES, num_nodes: int | None = None) -> FigureResult:
     """Figure 13: hierarchical timing breakdown (gather, scatter, leader all-to-all)."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     nodes = num_nodes or harness.cluster.num_nodes
     fig = FigureResult("fig13", "Hierarchical Timing Breakdown", "per-message size (bytes)",
                        configuration=harness.describe())
@@ -265,10 +264,10 @@ def figure13(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
     return fig
 
 
-def figure14(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure14(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              msg_sizes=PAPER_MESSAGE_SIZES, num_nodes: int | None = None) -> FigureResult:
     """Figure 14: node-aware timing breakdown (intra- vs inter-node all-to-all, both inner exchanges)."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     nodes = num_nodes or harness.cluster.num_nodes
     fig = FigureResult("fig14", "Node-Aware Timing Breakdown", "per-message size (bytes)",
                        configuration=harness.describe())
@@ -282,10 +281,10 @@ def figure14(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
     return fig
 
 
-def figure15(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure15(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              node_counts=PAPER_NODE_COUNTS, msg_bytes: int = 4096) -> FigureResult:
     """Figure 15: node-aware breakdown versus node count at 4096 bytes (1024 integers)."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     fig = FigureResult("fig15", "Node-Aware Breakdown, 4096 B, 2-32 Nodes", "nodes",
                        configuration=harness.describe())
     intra = DataSeries("Intra-Node Alltoall")
@@ -301,10 +300,10 @@ def figure15(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
     return fig
 
 
-def figure16(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure16(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              num_nodes: int | None = None, msg_bytes: int = 4096) -> FigureResult:
     """Figure 16: locality-aware breakdown versus group size (node-aware, 16, 8 and 4 PPG)."""
-    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+    harness = _harness(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults)
     nodes = num_nodes or harness.cluster.num_nodes
     fig = FigureResult("fig16", "Locality-Aware Breakdown vs Group Size", "group configuration",
                        configuration=harness.describe(),
@@ -331,9 +330,9 @@ def figure16(cluster: Cluster | None = None, *, ppn: int | None = None, engine: 
 def _best_algorithms_figure(figure_id: str, title: str, machine: Cluster, *, ppn: int | None,
                             engine: str, msg_sizes,
                             executor: SweepExecutor | None = None,
-                            engine_jobs: int = 1, faults=None) -> FigureResult:
+                            faults=None) -> FigureResult:
     harness = BenchmarkHarness(machine, ppn if ppn is not None else machine.cores_per_node,
-                               engine=engine, executor=executor, engine_jobs=engine_jobs, faults=faults)
+                               engine=engine, executor=executor, faults=faults)
     group = _default_group(harness.ppn)
     fig = FigureResult(figure_id, title, "message size (bytes)", configuration=harness.describe())
     fig.add_series(harness.size_sweep("system-mpi", msg_sizes=msg_sizes, label="System MPI"))
@@ -345,22 +344,22 @@ def _best_algorithms_figure(figure_id: str, title: str, machine: Cluster, *, ppn
     return fig
 
 
-def figure17(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure17(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              msg_sizes=PAPER_MESSAGE_SIZES) -> FigureResult:
     """Figure 17: best algorithms vs system MPI on 32 nodes of Amber."""
     machine = cluster if cluster is not None else amber()
     return _best_algorithms_figure("fig17", "Amber, Various Sizes, 32 Nodes", machine,
                                    ppn=ppn, engine=engine, msg_sizes=msg_sizes, executor=executor,
-                                   engine_jobs=engine_jobs, faults=faults)
+                                   faults=faults)
 
 
-def figure18(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+def figure18(cluster: Cluster | None = None, *, ppn: int | None = None, engine: str = "model", executor: SweepExecutor | None = None, faults=None,
              msg_sizes=PAPER_MESSAGE_SIZES) -> FigureResult:
     """Figure 18: best algorithms vs system MPI on 32 nodes of Tuolomne."""
     machine = cluster if cluster is not None else tuolomne()
     return _best_algorithms_figure("fig18", "Tuolomne, Various Sizes, 32 Nodes", machine,
                                    ppn=ppn, engine=engine, msg_sizes=msg_sizes, executor=executor,
-                                   engine_jobs=engine_jobs, faults=faults)
+                                   faults=faults)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +377,7 @@ CONTENTION_FABRICS = (
 
 
 def figure_contention(cluster: Cluster | None = None, *, ppn: int | None = None,
-                      engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+                      engine: str = "model", executor: SweepExecutor | None = None, faults=None,
                       msg_bytes: int = 256, num_nodes: int | None = None) -> FigureResult:
     """Link contention demo: a skewed MoE shuffle across the fabric ladder.
 
@@ -413,7 +412,7 @@ def figure_contention(cluster: Cluster | None = None, *, ppn: int | None = None,
         for index, (_fabric_label, spec) in enumerate(CONTENTION_FABRICS):
             machine = base.with_fabric(parse_fabric(spec))
             harness = BenchmarkHarness(machine, processes, engine=engine, executor=executor,
-                                       engine_jobs=engine_jobs, faults=faults)
+                                       faults=faults)
             point = harness.workload_point(algorithm, matrix, nodes, **options)
             series.add(index, point.seconds)
         fig.add_series(series)
@@ -421,7 +420,7 @@ def figure_contention(cluster: Cluster | None = None, *, ppn: int | None = None,
 
 
 def figure_link_utilisation(cluster: Cluster | None = None, *, ppn: int | None = None,
-                            engine: str = "simulate", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+                            engine: str = "simulate", executor: SweepExecutor | None = None, faults=None,
                             msg_bytes: int = 256, num_nodes: int | None = None,
                             bins: int = 12,
                             fabric_spec: str = "dragonfly:hosts=1,routers=2,taper=8") -> FigureResult:
@@ -464,7 +463,7 @@ def figure_link_utilisation(cluster: Cluster | None = None, *, ppn: int | None =
         sink = RecordingSink()
         pmap = ProcessMap(machine, ppn=processes, num_nodes=nodes)
         outcome = run_workload(algorithm, pmap, matrix, validate=False,
-                               keep_job=False, sink=sink, engine_jobs=engine_jobs, faults=faults)
+                               keep_job=False, sink=sink, faults=faults)
         makespan = outcome.elapsed
         width = makespan / bins if makespan > 0.0 else 1.0
         busy = [0.0] * bins
@@ -495,8 +494,7 @@ ROBUSTNESS_FAULTS = "degraded-link:df-g0-1,0.25;flapping-link:df-g0-1,4e-6,0.5"
 
 def figure_robustness(cluster: Cluster | None = None, *, ppn: int | None = None,
                       engine: str = "simulate", executor: SweepExecutor | None = None,
-                      engine_jobs: int = 1, faults=None,
-                      msg_bytes: int = 1024, num_nodes: int | None = None,
+                      faults=None, msg_bytes: int = 1024, num_nodes: int | None = None,
                       fabric_spec: str = "dragonfly:hosts=1,routers=2,taper=2") -> FigureResult:
     """Fault-induced winner flip: a skewed MoE shuffle on a degraded dragonfly.
 
@@ -536,8 +534,7 @@ def figure_robustness(cluster: Cluster | None = None, *, ppn: int | None = None,
         series = DataSeries(label)
         for index, spec in enumerate((None, injected)):
             harness = BenchmarkHarness(machine, processes, engine="simulate",
-                                       executor=executor, engine_jobs=engine_jobs,
-                                       faults=spec)
+                                       executor=executor, faults=spec)
             point = harness.workload_point(algorithm, matrix, nodes)
             series.add(index, point.seconds)
         fig.add_series(series)
@@ -571,8 +568,7 @@ def adaptive_demo_workload(nprocs: int, msg_bytes: int = 2048):
 
 def figure_adaptive(cluster: Cluster | None = None, *, ppn: int | None = None,
                     engine: str = "simulate", executor: SweepExecutor | None = None,
-                    engine_jobs: int = 1, faults=None,
-                    msg_bytes: int = 2048, num_nodes: int | None = None,
+                    faults=None, msg_bytes: int = 2048, num_nodes: int | None = None,
                     fabric_spec: str = ADAPTIVE_FABRIC,
                     workload=None) -> FigureResult:
     """Static vs adaptive per-phase selection on a shared dragonfly.
@@ -623,8 +619,7 @@ def figure_adaptive(cluster: Cluster | None = None, *, ppn: int | None = None,
         )
 
     selection = select_phased(machine, processes, workload, engine="simulate",
-                              executor=executor, engine_jobs=engine_jobs,
-                              faults=faults)
+                              executor=executor, faults=faults)
     from repro.workloads import Phase, PhasedWorkload
 
     background = PhasedJob.make(
@@ -635,8 +630,7 @@ def figure_adaptive(cluster: Cluster | None = None, *, ppn: int | None = None,
         "nonblocking", bg_nodes,
     )
     harness = BenchmarkHarness(machine, processes, engine="simulate",
-                               executor=executor, engine_jobs=engine_jobs,
-                               faults=faults)
+                               executor=executor, faults=faults)
     specs = [
         harness.phased_spec([PhasedJob.make(workload, assignment, fg_nodes), background])
         for assignment in (selection.static, selection.assignment)
@@ -669,12 +663,11 @@ def figure_adaptive(cluster: Cluster | None = None, *, ppn: int | None = None,
 # ---------------------------------------------------------------------------
 
 def headline_speedup(cluster: Cluster | None = None, *, ppn: int | None = None,
-                     engine: str = "model", executor: SweepExecutor | None = None, engine_jobs: int = 1, faults=None,
+                     engine: str = "model", executor: SweepExecutor | None = None, faults=None,
                      msg_sizes=PAPER_MESSAGE_SIZES,
                      num_nodes: int | None = None) -> dict:
     """Section 1's headline: best speedup of the novel algorithms over system MPI at 32 nodes."""
-    fig = figure10(cluster, ppn=ppn, engine=engine, executor=executor,
-                   engine_jobs=engine_jobs, faults=faults,
+    fig = figure10(cluster, ppn=ppn, engine=engine, executor=executor, faults=faults,
                    msg_sizes=msg_sizes, num_nodes=num_nodes)
     speedups = {}
     for size in fig.xs():

@@ -56,15 +56,12 @@ class BenchmarkHarness:
         engine: str = "model",
         repetitions: int = 1,
         executor=None,
-        engine_jobs: int = 1,
         faults=None,
     ) -> None:
         if engine not in _ENGINES:
             raise ConfigurationError(f"unknown engine {engine!r}; choose from {_ENGINES}")
         if repetitions <= 0:
             raise ConfigurationError("repetitions must be positive")
-        if engine_jobs < 1:
-            raise ConfigurationError(f"engine_jobs must be >= 1, got {engine_jobs}")
         if faults is not None and not faults:
             faults = None
         if faults is not None and engine != "simulate":
@@ -78,9 +75,6 @@ class BenchmarkHarness:
         self.repetitions = repetitions
         #: Optional :class:`~repro.runtime.SweepExecutor`; ``None`` executes inline.
         self.executor = executor
-        #: Parallel-engine worker count per simulated point (bit-identical
-        #: results at any value; excluded from cache identity).
-        self.engine_jobs = engine_jobs
         #: Optional :class:`repro.faults.FaultSpec` stamped on every spec
         #: this harness builds (part of cache identity when non-empty).
         self.faults = faults
@@ -109,7 +103,7 @@ class BenchmarkHarness:
         return PointSpec.for_alltoall(
             self.cluster, self.ppn, num_nodes, algorithm, msg_bytes,
             engine=self.engine, repetitions=self.repetitions, fold=fold,
-            engine_jobs=self.engine_jobs, faults=self.faults, **options,
+            faults=self.faults, **options,
         )
 
     def workload_spec(self, algorithm: str, matrix, num_nodes: int, *,
@@ -123,7 +117,7 @@ class BenchmarkHarness:
         return PointSpec.for_workload(
             self.cluster, self.ppn, num_nodes, algorithm, matrix,
             engine=self.engine, repetitions=self.repetitions, fold=fold,
-            engine_jobs=self.engine_jobs, faults=self.faults, **options,
+            faults=self.faults, **options,
         )
 
     # -- timing --------------------------------------------------------------
@@ -152,7 +146,7 @@ class BenchmarkHarness:
         """
         return PointSpec.for_phased(
             self.cluster, self.ppn, jobs, repetitions=self.repetitions,
-            engine_jobs=self.engine_jobs, faults=self.faults, **spec_kwargs,
+            faults=self.faults, **spec_kwargs,
         )
 
     def run_spec(self, spec: PointSpec) -> TimedPoint:
@@ -171,8 +165,7 @@ class BenchmarkHarness:
             jobs = spec.phased_jobs()
             return self._timed_min(
                 lambda: run_phased(
-                    jobs, pmap, validate=False, keep_job=False,
-                    engine_jobs=spec.engine_jobs, faults=spec.faults,
+                    jobs, pmap, validate=False, keep_job=False, faults=spec.faults,
                 ),
                 spec.repetitions,
             )
@@ -189,7 +182,7 @@ class BenchmarkHarness:
             return self._timed_min(
                 lambda: run_workload(
                     spec.algorithm, pmap, matrix, validate=False, keep_job=False,
-                    fold=spec.fold, engine_jobs=spec.engine_jobs, faults=spec.faults,
+                    fold=spec.fold, faults=spec.faults,
                     **options
                 ),
                 spec.repetitions,
@@ -200,7 +193,7 @@ class BenchmarkHarness:
         return self._timed_min(
             lambda: run_alltoall(
                 spec.algorithm, pmap, spec.msg_bytes, validate=False, keep_job=False,
-                fold=spec.fold, engine_jobs=spec.engine_jobs, faults=spec.faults,
+                fold=spec.fold, faults=spec.faults,
                 **options
             ),
             spec.repetitions,

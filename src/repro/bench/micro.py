@@ -90,9 +90,6 @@ class MicroJob:
     quick: bool = False
     #: Run symmetry-folded ("on"); the default times the full-width engine.
     fold: str = "off"
-    #: Worker threads of the conservative-lookahead parallel engine
-    #: (1 = the serial engine; results are bit-identical at any value).
-    engine_jobs: int = 1
 
     @property
     def nprocs(self) -> int:
@@ -101,25 +98,20 @@ class MicroJob:
     def describe(self) -> str:
         traffic = self.pattern if self.pattern is not None else f"{self.msg_bytes}B uniform"
         folded = ", folded" if self.fold != "off" else ""
-        parallel = f", {self.engine_jobs} workers" if self.engine_jobs != 1 else ""
         return (
             f"{self.algorithm} @ {self.nodes} nodes x {self.ppn} ppn "
-            f"({traffic}{folded}{parallel})"
+            f"({traffic}{folded})"
         )
 
 
-def _uniform(key, algorithm, nodes, ppn, msg_bytes=256, quick=False, fold="off",
-             engine_jobs=1):
+def _uniform(key, algorithm, nodes, ppn, msg_bytes=256, quick=False, fold="off"):
     return MicroJob(key=key, kind="uniform", algorithm=algorithm, nodes=nodes,
-                    ppn=ppn, msg_bytes=msg_bytes, quick=quick, fold=fold,
-                    engine_jobs=engine_jobs)
+                    ppn=ppn, msg_bytes=msg_bytes, quick=quick, fold=fold)
 
 
-def _workload(key, algorithm, nodes, ppn, pattern, msg_bytes=64, quick=False,
-              engine_jobs=1):
+def _workload(key, algorithm, nodes, ppn, pattern, msg_bytes=64, quick=False):
     return MicroJob(key=key, kind="workload", algorithm=algorithm, nodes=nodes,
-                    ppn=ppn, msg_bytes=msg_bytes, pattern=pattern, quick=quick,
-                    engine_jobs=engine_jobs)
+                    ppn=ppn, msg_bytes=msg_bytes, pattern=pattern, quick=quick)
 
 
 #: The canonical suite.  Keys are stable identifiers: changing a job's shape
@@ -149,20 +141,6 @@ CANONICAL_JOBS: tuple[MicroJob, ...] = (
              quick=True, fold="on"),
     _uniform("fold-node-aware/1536n112p/4B", "node-aware", 1536, 112, msg_bytes=4,
              fold="on"),
-    # Parallel-engine points.  Each shape is timed serially and at N
-    # workers, so the stored ratio is the measured parallel-engine cost or
-    # benefit on the recording machine (on a single-core, GIL-bound box the
-    # exact-merge engine cannot beat serial; the points exist to keep its
-    # overhead on the recorded trajectory and in the CI smoke gate).  The
-    # 512-node skewed-moe job is non-foldable (no node symmetry), so the
-    # parallel engine is the only sub-serial-wall path it could ever have.
-    # (serial counterpart of the 4w point: the pairwise/16n8p/256B job above)
-    _uniform("par-pairwise/16n8p/256B/4w", "pairwise", 16, 8, quick=True,
-             engine_jobs=4),
-    _workload("par-workload-pairwise/512n1p/skewed-moe/1w", "pairwise", 512, 1,
-              "skewed-moe"),
-    _workload("par-workload-pairwise/512n1p/skewed-moe/8w", "pairwise", 512, 1,
-              "skewed-moe", engine_jobs=8),
 )
 
 
@@ -218,10 +196,10 @@ def run_job(job: MicroJob, repeats: int = 3) -> MicroResult:
         start = time.perf_counter()
         if matrix is not None:
             outcome = run_workload(job.algorithm, pmap, matrix, validate=False,
-                                   fold=job.fold, engine_jobs=job.engine_jobs)
+                                   fold=job.fold)
         else:
             outcome = run_alltoall(job.algorithm, pmap, job.msg_bytes, validate=False,
-                                   fold=job.fold, engine_jobs=job.engine_jobs)
+                                   fold=job.fold)
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall = wall
@@ -324,16 +302,19 @@ def merge_results(
 ) -> dict:
     """Merge ``results`` into ``report[section]`` and refresh the speedup table.
 
-    Points not measured by this run (e.g. a ``--quick`` run) keep their stored
-    values, so a quick CI check never erases the full committed measurement.
+    Canonical points not measured by this run (e.g. a ``--quick`` run) keep
+    their stored values, so a quick CI check never erases the full committed
+    measurement.  Stored points whose key left :data:`CANONICAL_JOBS` are
+    dropped, so a retired job does not outlive its removal.
     """
     if section not in ("baseline", "current"):
         raise ConfigurationError(f"unknown report section {section!r}")
     old_section = report.get(section, {})
     existing = old_section.get("points", {})
     merged = _section(results, calibration, label)
+    canonical = {job.key for job in CANONICAL_JOBS}
     for key, point in existing.items():
-        if key not in merged["points"]:
+        if key in canonical and key not in merged["points"]:
             # A point kept from an earlier (possibly different-machine) run
             # must carry the calibration it was measured under — otherwise a
             # later --check would scale its wall time by this run's probe.

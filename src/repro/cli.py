@@ -138,10 +138,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
     runtime.add_argument("--jobs", type=_job_count, default=1, metavar="N",
                          help="worker processes for independent benchmark points "
                               "(1 = serial in-process, 0 = all CPU cores)")
-    runtime.add_argument("--engine-jobs", type=_positive_int, default=1, metavar="N",
-                         help="worker threads inside each simulated point "
-                              "(conservative-lookahead parallel engine; results "
-                              "are bit-identical at any value)")
     runtime.add_argument("--cache-dir", default=None, metavar="DIR",
                          help="on-disk result store; already-simulated points are "
                               "served from it and new results are appended")
@@ -332,9 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="node count, or 'paper' for the system's Table-1 deployment size")
     run.add_argument("--ppn", type=_positive_int, default=8)
     run.add_argument("--msg-bytes", type=_positive_int, default=256)
-    run.add_argument("--engine-jobs", type=_positive_int, default=1, metavar="N",
-                     help="worker threads of the conservative-lookahead parallel "
-                          "engine (bit-identical results at any value)")
     run.add_argument("--group-size", type=int, default=None,
                      help="processes per leader/group for the hierarchical algorithms")
     run.add_argument("--inner", default=None, choices=["pairwise", "nonblocking", "bruck", "batched"])
@@ -425,9 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--jobs", type=_job_count, default=1, metavar="N",
                         help="worker processes for independent scenarios "
                              "(1 = serial in-process, 0 = all CPU cores)")
-    verify.add_argument("--engine-jobs", type=_positive_int, default=1, metavar="N",
-                        help="worker threads of the parallel engine inside every "
-                             "differential run (results must stay bit-identical)")
     verify.add_argument("--max-ranks", type=_positive_int, default=24,
                         help="upper bound on nodes x ppn per sampled scenario")
     verify.add_argument("--golden", default=None, metavar="PATH",
@@ -576,13 +566,12 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             producer = FIGURES[figure_id]
             extra = {"workload": phased} if phased is not None else {}
             figure = producer(cluster, ppn=ppn, engine=args.engine, executor=executor,
-                              engine_jobs=args.engine_jobs, faults=faults, **extra)
+                              faults=faults, **extra)
             print(to_csv(figure) if args.csv else format_figure(figure))
             print()
         if args.headline:
             print(format_speedup_summary(
-                headline_speedup(executor=executor, engine_jobs=args.engine_jobs,
-                                 faults=faults)))
+                headline_speedup(executor=executor, faults=faults)))
     finally:
         _finish_executor(executor)
     return 0
@@ -613,7 +602,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     pmap = ProcessMap(cluster, ppn=args.ppn, num_nodes=nodes)
     try:
         outcome = run_alltoall(args.algorithm, pmap, args.msg_bytes, fold=fold,
-                               engine_jobs=args.engine_jobs,
                                faults=_faults_from_args(args),
                                **_algorithm_options(args))
     except ConfigurationError as exc:
@@ -646,8 +634,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
 
         executor = _executor_from_args(args)
         try:
-            selection = select_phased(cluster, ppn, phased, executor=executor,
-                                      engine_jobs=args.engine_jobs, faults=faults)
+            selection = select_phased(cluster, ppn, phased, executor=executor, faults=faults)
         except ConfigurationError as exc:
             raise SystemExit(str(exc)) from exc
         finally:
@@ -665,9 +652,7 @@ def _cmd_select(args: argparse.Namespace) -> int:
         if args.engine == "simulate":
             table = build_selection_table(cluster, ppn, node_counts=[args.nodes],
                                           msg_sizes=args.sizes, engine="simulate",
-                                          executor=executor,
-                                          engine_jobs=args.engine_jobs,
-                                          faults=faults)
+                                          executor=executor, faults=faults)
             mapping = {size: table.best(args.nodes, size) for size in args.sizes}
             flavour = " [measured, simulate engine]"
         else:
@@ -751,7 +736,6 @@ def _cmd_workload_phased(args: argparse.Namespace, pmap: ProcessMap, workload) -
     print(f"Machine:  {pmap.describe()}")
     try:
         outcome = run_phased_workload(algorithms, pmap, workload,
-                                      engine_jobs=args.engine_jobs,
                                       faults=_faults_from_args(args))
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from exc
@@ -802,9 +786,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         # unavailable here.
         try:
             harness = BenchmarkHarness(cluster, args.ppn, engine="simulate",
-                                       executor=executor,
-                                       engine_jobs=args.engine_jobs,
-                                       faults=faults)
+                                       executor=executor, faults=faults)
             point = harness.workload_point(args.algorithm, matrix, args.nodes, **options)
         except ConfigurationError as exc:
             raise SystemExit(str(exc)) from exc
@@ -820,8 +802,7 @@ def _cmd_workload(args: argparse.Namespace) -> int:
 
     try:
         outcome = run_workload(args.algorithm, pmap, matrix, fold=args.fold,
-                               engine_jobs=args.engine_jobs, faults=faults,
-                               **options)
+                               faults=faults, **options)
     except ConfigurationError as exc:
         raise SystemExit(str(exc)) from exc
     if outcome.fold is not None:
@@ -848,19 +829,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     fabric = _fabric_from_args(args)
     faults = _faults_from_args(args)
-    # Trailing optional task slots (see verify_task): fabric, engine_jobs,
-    # faults, phased.
-    if args.phased:
-        extra: tuple = (fabric, args.engine_jobs, faults, True)
-    elif faults is not None:
-        extra = (fabric, args.engine_jobs, faults)
-    elif args.engine_jobs != 1:
-        extra = (fabric, args.engine_jobs)
-    elif fabric is not None:
-        extra = (fabric,)
-    else:
-        extra = ()
-    tasks = [(args.seed + i, args.max_ranks, *extra) for i in range(args.count)]
+    tasks = [(args.seed + i, args.max_ranks, fabric, faults, args.phased)
+             for i in range(args.count)]
     with SweepExecutor(jobs) as executor:
         records = executor.map(verify_task, tasks)
     print(format_verification_summary(records))
@@ -884,7 +854,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.fold_gate:
         from repro.verify.folding import model_crosscheck, run_fold_gate
 
-        report = run_fold_gate(engine_jobs=args.engine_jobs)
+        report = run_fold_gate()
         print(report.describe())
         if not report.ok:
             status = 1

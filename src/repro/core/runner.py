@@ -120,7 +120,7 @@ class AlltoallOutcome:
     phase_times: dict[str, float] = field(default_factory=dict)
     #: Message and byte counts per locality level.
     traffic_by_level: dict[LocalityLevel, tuple[int, int]] = field(default_factory=dict)
-    #: Full engine result (per-rank data, traces, NIC statistics).
+    #: Full engine result (per-rank data, NIC statistics).
     job: JobResult | None = None
     #: Symmetry-folding metadata (``None`` for unfolded runs); mirrors
     #: :attr:`repro.simmpi.engine.JobResult.fold` so it survives
@@ -182,11 +182,9 @@ def run_alltoall(
     *,
     dtype=np.uint8,
     validate: bool = True,
-    record_trace: bool = False,
     sink=None,
     keep_job: bool = True,
     fold: str = "off",
-    engine_jobs: int = 1,
     faults=None,
     **algorithm_options: Any,
 ) -> AlltoallOutcome:
@@ -206,9 +204,6 @@ def run_alltoall(
         multiple of its item size.
     validate:
         Check the receive buffers against the reference transposition.
-    record_trace:
-        Keep a full per-message trace on the returned job (slower, more
-        memory; used by the breakdown figures and some tests).
     sink:
         Optional :class:`repro.obs.sink.EventSink` observing the job's
         simulated lifecycle (phase/wait/match/NIC/link events); ``None``
@@ -219,11 +214,6 @@ def run_alltoall(
         in for the whole machine (always sound for the uniform exchange; see
         :mod:`repro.machine.folding`).  With folding off the simulated
         arithmetic is bit-identical to what it was before folding existed.
-    engine_jobs:
-        Worker count of the conservative-lookahead parallel engine
-        (:mod:`repro.simmpi.parallel`).  ``1`` (default) runs the serial
-        engine; any value yields bit-identical simulated timings, so this
-        knob is excluded from cache identity.
     faults:
         Optional :class:`repro.faults.FaultSpec` injecting deterministic
         machine degradations (degraded/flapping links, stragglers, OS
@@ -256,8 +246,7 @@ def run_alltoall(
     algo.validate(pmap)
 
     job = run_spmd(pmap, alltoall_program, algo, block_items, np.dtype(dtype),
-                   record_trace=record_trace, sink=sink, engine_jobs=engine_jobs,
-                   faults=faults)
+                   sink=sink, faults=faults)
 
     correct = True
     if validate:
@@ -313,7 +302,7 @@ class WorkloadOutcome:
     phase_times: dict[str, float] = field(default_factory=dict)
     #: Message and byte counts per locality level.
     traffic_by_level: dict[LocalityLevel, tuple[int, int]] = field(default_factory=dict)
-    #: Full engine result (per-rank data, traces, NIC statistics).
+    #: Full engine result (per-rank data, NIC statistics).
     job: JobResult | None = None
     #: Symmetry-folding metadata (``None`` for unfolded runs).
     fold: dict | None = None
@@ -551,10 +540,8 @@ def run_phased(
     *,
     dtype=np.uint8,
     validate: bool = True,
-    record_trace: bool = False,
     sink=None,
     keep_job: bool = True,
-    engine_jobs: int = 1,
     faults=None,
 ) -> PhasedOutcome:
     """Simulate one or more phased jobs on a single engine timeline.
@@ -573,7 +560,7 @@ def run_phased(
         interference adaptive selection exploits.  Folded maps are
         rejected (phases and multi-job placements break the rotation
         symmetry folding relies on).
-    validate / record_trace / sink / keep_job / engine_jobs / faults:
+    validate / sink / keep_job / faults:
         As in :func:`run_workload`; validation checks every phase of every
         job against the non-uniform reference transposition.
     """
@@ -632,8 +619,7 @@ def run_phased(
 
     engine_result = run_spmd(
         pmap, phased_program, tuple(plans), np_dtype,
-        record_trace=record_trace, sink=sink, engine_jobs=engine_jobs,
-        faults=faults,
+        sink=sink, faults=faults,
     )
 
     phase_times = {name: engine_result.phase_time(name) for name in engine_result.phases()}
@@ -716,11 +702,9 @@ def run_workload(
     *,
     dtype=np.uint8,
     validate: bool = True,
-    record_trace: bool = False,
     sink=None,
     keep_job: bool = True,
     fold: str = "off",
-    engine_jobs: int = 1,
     faults=None,
     **algorithm_options: Any,
 ) -> WorkloadOutcome:
@@ -742,8 +726,6 @@ def run_workload(
     validate:
         Check the receive buffers against the non-uniform reference
         transposition.
-    record_trace:
-        Keep a full per-message trace on the returned job.
     sink:
         Optional :class:`repro.obs.sink.EventSink` (see :func:`run_alltoall`).
     fold:
@@ -752,9 +734,6 @@ def run_workload(
         matrix as node-rotation invariant and falls back to the full
         simulation otherwise; ``"on"`` raises if the traffic is not
         foldable; ``"off"`` (default) always simulates every rank.
-    engine_jobs:
-        Parallel-engine worker count (see :func:`run_alltoall`); any value
-        produces bit-identical simulated timings.
     faults:
         Optional :class:`repro.faults.FaultSpec` (see :func:`run_alltoall`);
         incompatible with folding.
@@ -791,8 +770,7 @@ def run_workload(
     algo.validate(pmap, counts)
 
     job = run_spmd(pmap, workload_program, algo, counts, np.dtype(dtype),
-                   record_trace=record_trace, sink=sink, engine_jobs=engine_jobs,
-                   faults=faults)
+                   sink=sink, faults=faults)
 
     correct = True
     if validate:

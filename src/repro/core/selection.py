@@ -172,7 +172,6 @@ def build_selection_table(
     engine: str = "simulate",
     repetitions: int = 1,
     executor: SweepExecutor | None = None,
-    engine_jobs: int = 1,
     faults=None,
 ) -> SelectionTable:
     """Build a measurement-driven :class:`SelectionTable` from a benchmark sweep.
@@ -194,8 +193,7 @@ def build_selection_table(
     if not chosen:
         raise ConfigurationError("the selection sweep needs at least one candidate")
     harness = BenchmarkHarness(cluster, ppn, engine=engine, repetitions=repetitions,
-                               executor=executor, engine_jobs=engine_jobs,
-                               faults=faults)
+                               executor=executor, faults=faults)
     points: list[tuple[int, int, CandidateConfig]] = [
         (nodes, size, candidate)
         for nodes in node_counts
@@ -309,7 +307,6 @@ def select_phased(
     engine: str = "simulate",
     repetitions: int = 1,
     executor: SweepExecutor | None = None,
-    engine_jobs: int = 1,
     faults=None,
 ) -> PhasedSelection:
     """Evaluate every candidate on every phase and pick static vs adaptive.
@@ -361,8 +358,7 @@ def select_phased(
         )
 
     harness = BenchmarkHarness(cluster, ppn, engine=engine, repetitions=repetitions,
-                               executor=executor, engine_jobs=engine_jobs,
-                               faults=faults)
+                               executor=executor, faults=faults)
     pairs = [
         (phase_index, candidate)
         for phase_index in range(workload.num_phases)

@@ -16,8 +16,8 @@ simulation inputs:
   simulation state (fabric links, NIC scaling, noise streams).
 
 The determinism contract: every fault draw is a pure function of
-``(FaultSpec, seed, rank/link)``, independent of ``--jobs`` and
-``--engine-jobs``; an empty/absent spec is bit-identical to a build
+``(FaultSpec, seed, rank/link)``, independent of ``--jobs``; an
+empty/absent spec is bit-identical to a build
 without this package (see docs/FAULTS.md).
 """
 

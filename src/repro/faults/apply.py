@@ -79,9 +79,8 @@ class OsNoiseState:
     that rank's stream.  Each stream is seeded by
     :func:`~repro.faults.spec.noise_stream_seed`, so the sequence is a
     pure function of ``(FaultSpec.seed, rank, draw index)`` — and because
-    each rank's operations post in program order regardless of engine
-    parallelism, the same faulted run is bit-identical at any ``--jobs``
-    or ``--engine-jobs``.
+    each rank's operations post in program order, the same faulted run is
+    bit-identical at any ``--jobs``.
     """
 
     __slots__ = ("amplitude", "seed", "_streams")

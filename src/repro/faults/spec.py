@@ -8,10 +8,7 @@ Parameter ranges are deliberately one-sided so that no fault can ever make
 an operation *faster* than the healthy machine: degraded-link factors are
 in ``(0, 1]`` (bandwidth only shrinks), straggler factors are ``>= 1``
 (NIC occupancy only grows), OS noise is ``>= 0`` (operations are only
-delayed) and flapping links only stall traffic.  That direction is what
-keeps the parallel engine's conservative lookahead sound under faults —
-``TimingModel.lookahead()`` floors (NIC message overhead, network latency,
-route hop overheads) are never touched, see docs/FAULTS.md.
+delayed) and flapping links only stall traffic (see docs/FAULTS.md).
 """
 
 from __future__ import annotations
@@ -163,7 +160,7 @@ class OsNoise:
     Every send/recv posting pays an extra uniform ``[0, amplitude)``
     seconds, drawn from a stream seeded by ``(FaultSpec.seed, rank)`` —
     a pure function of the spec and the rank's operation order, identical
-    at any ``--jobs`` / ``--engine-jobs``.
+    at any ``--jobs``.
     """
 
     amplitude: float = 1e-6

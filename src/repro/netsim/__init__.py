@@ -1,13 +1,12 @@
 """Discrete-event simulation core.
 
 This package contains the generic machinery underneath the simulated MPI
-layer: a time-ordered event queue, serial resources used to model NIC
-injection serialization, inter-node fabric topologies with per-link
-contention, and a trace recorder for per-message accounting.  It knows
+layer: a time-ordered event simulator, serial resources used to model NIC
+injection serialization, and inter-node fabric topologies with per-link
+contention.  It knows
 nothing about MPI semantics — those live in :mod:`repro.simmpi`.
 """
 
-from repro.netsim.events import Event, EventQueue
 from repro.netsim.fabric import (
     DragonflyFabric,
     FabricSpec,
@@ -20,16 +19,11 @@ from repro.netsim.fabric import (
 )
 from repro.netsim.resources import SerialResource, ThroughputTracker
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import MessageRecord, TraceRecorder
 
 __all__ = [
-    "Event",
-    "EventQueue",
     "SerialResource",
     "ThroughputTracker",
     "Simulator",
-    "MessageRecord",
-    "TraceRecorder",
     "FabricSpec",
     "FabricState",
     "FullBisectionFabric",

@@ -106,7 +106,7 @@ class FabricState:
     occupancy always starts from an idle fabric.
     """
 
-    __slots__ = ("name", "links", "routes", "sink", "_route_counts", "_min_route_latency")
+    __slots__ = ("name", "links", "routes", "sink", "_route_counts")
 
     def __init__(self, name: str, links: list[_Link],
                  routes: dict[tuple[int, int], tuple[_Link, ...]]) -> None:
@@ -119,8 +119,6 @@ class FabricState:
         #: Lazily computed number of node-pair routes crossing each link
         #: (keyed by ``id(link)``); only the analytic uniform bound needs it.
         self._route_counts: dict[int, int] | None = None
-        #: Memoized :meth:`min_route_latency` (pure function of the routes).
-        self._min_route_latency: float | None = None
 
     def route(self, src_node: int, dst_node: int) -> tuple[_Link, ...]:
         """The shared links a ``src_node -> dst_node`` message traverses."""
@@ -130,28 +128,6 @@ class FabricState:
             raise SimulationError(
                 f"fabric {self.name!r} has no route {src_node} -> {dst_node}"
             ) from None
-
-    def min_route_latency(self) -> float:
-        """Uncongested latency of the cheapest inter-node route.
-
-        The sum of ``hop_overhead`` over the shortest route between any two
-        distinct nodes — the floor an empty fabric adds to a zero-byte
-        message.  Intra-switch routes are empty tuples and contribute
-        ``0.0``; a fabric with no routes at all (degenerate single-node
-        build) also reports ``0.0``.  This is the fabric's contribution to
-        the conservative-lookahead window used by the parallel engine
-        (:mod:`repro.simmpi.parallel`): no message between nodes can cross
-        the fabric faster than this.
-        """
-        cached = self._min_route_latency
-        if cached is None:
-            cached = min(
-                (sum(link.hop_overhead for link in route)
-                 for route in self.routes.values()),
-                default=0.0,
-            )
-            self._min_route_latency = cached
-        return cached
 
     def traverse(self, src_node: int, dst_node: int, nbytes: int, start: float) -> float:
         """Push ``nbytes`` through the route, reserving each link in order.
@@ -373,10 +349,6 @@ class FoldedFabricView:
 
     def route(self, src_node: int, dst_node: int) -> tuple[_Link, ...]:
         return self.state.route(src_node, dst_node)
-
-    def min_route_latency(self) -> float:
-        """Cheapest uncongested route of the underlying fabric (unweighted)."""
-        return self.state.min_route_latency()
 
     def traverse(self, src_node: int, dst_node: int, nbytes: int, start: float) -> float:
         """Weighted :meth:`FabricState.traverse`: same FIFO discipline, the

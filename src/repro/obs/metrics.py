@@ -227,20 +227,6 @@ def build_job_metrics(engine) -> dict:
     registry.counter("engine.events_processed", engine.simulator.events_processed)
     registry.counter("engine.ranks", engine.pmap.nprocs)
 
-    # Parallel-engine surface (absent on serial runs): per-partition clocks
-    # and event counts, plus the cross-partition wakeups the lookahead
-    # invariant guarded.
-    partition_clocks = getattr(engine, "partition_clocks", None)
-    if partition_clocks is not None:
-        registry.counter("engine.partitions", engine.partitions)
-        clock = registry.gauge("engine.partition_clock")
-        for value in partition_clocks:
-            clock.set(value)
-        events = registry.histogram("engine.partition_events", bounds=())
-        for count in engine.partition_events:
-            events.observe(count)
-        registry.counter("engine.cross_partition_wakeups", engine.cross_notifications)
-
     # Fault-injection surface (absent on healthy runs): how many fault
     # models were active, so a metrics sidecar always records whether its
     # timings describe the healthy or a degraded machine.

@@ -126,12 +126,6 @@ class PointSpec:
     #: is a different result); empty specs normalise to ``None`` and are
     #: omitted from the payload, so pre-faults cache keys keep hitting.
     faults: Any = None
-    #: Parallel-engine worker count for the simulate engine.  Deliberately
-    #: **excluded from the canonical payload** (see :meth:`payload`): the
-    #: conservative-lookahead engine is bit-identical to serial, so a point
-    #: computed at any worker count is the same result and must hit the
-    #: same cache entry.
-    engine_jobs: int = 1
 
     def __post_init__(self) -> None:
         if self.engine not in _ENGINES:
@@ -162,8 +156,6 @@ class PointSpec:
             raise ConfigurationError("ppn and num_nodes must be positive")
         if self.repetitions <= 0:
             raise ConfigurationError("repetitions must be positive")
-        if self.engine_jobs < 1:
-            raise ConfigurationError(f"engine_jobs must be >= 1, got {self.engine_jobs}")
         if self.faults is not None:
             from repro.faults.spec import FaultSpec
 
@@ -195,18 +187,18 @@ class PointSpec:
     @classmethod
     def for_alltoall(cls, cluster: Cluster, ppn: int, num_nodes: int, algorithm: str,
                      msg_bytes: int, *, engine: str = "model", repetitions: int = 1,
-                     fold: str = "off", engine_jobs: int = 1, faults=None,
+                     fold: str = "off", faults=None,
                      **options: Any) -> "PointSpec":
         """Spec for one uniform all-to-all point."""
         return cls(cluster=cluster, ppn=ppn, num_nodes=num_nodes, engine=engine,
                    algorithm=algorithm, repetitions=repetitions,
                    options=tuple(sorted(options.items())), msg_bytes=int(msg_bytes),
-                   fold=fold, engine_jobs=engine_jobs, faults=faults)
+                   fold=fold, faults=faults)
 
     @classmethod
     def for_workload(cls, cluster: Cluster, ppn: int, num_nodes: int, algorithm: str,
                      matrix, *, engine: str = "model", repetitions: int = 1,
-                     fold: str = "off", engine_jobs: int = 1, faults=None,
+                     fold: str = "off", faults=None,
                      **options: Any) -> "PointSpec":
         """Spec for one non-uniform workload point (the matrix is embedded as a trace)."""
         trace = json.dumps(
@@ -216,11 +208,11 @@ class PointSpec:
         return cls(cluster=cluster, ppn=ppn, num_nodes=num_nodes, engine=engine,
                    algorithm=algorithm, repetitions=repetitions,
                    options=tuple(sorted(options.items())), trace=trace, fold=fold,
-                   engine_jobs=engine_jobs, faults=faults)
+                   faults=faults)
 
     @classmethod
     def for_phased(cls, cluster: Cluster, ppn: int, jobs, *, repetitions: int = 1,
-                   engine_jobs: int = 1, faults=None) -> "PointSpec":
+                   faults=None) -> "PointSpec":
         """Spec for one phased run (one or more jobs sharing the machine).
 
         ``jobs`` is a sequence of :class:`repro.core.runner.PhasedJob`
@@ -250,8 +242,7 @@ class PointSpec:
         num_nodes = sum(job.num_nodes for job in jobs)
         return cls(cluster=cluster, ppn=ppn, num_nodes=num_nodes,
                    engine="simulate", algorithm="phased",
-                   repetitions=repetitions, phases=phases,
-                   engine_jobs=engine_jobs, faults=faults)
+                   repetitions=repetitions, phases=phases, faults=faults)
 
     # -- execution helpers ---------------------------------------------------
     def phased_jobs(self):
@@ -296,11 +287,7 @@ class PointSpec:
         normalised to ``None``), so pre-faults cache keys keep hitting
         while a faulted point gets its own identity.  ``phases`` follows it
         too: only phased specs carry the key, so every pre-phases cache key
-        and golden digest is bit-identical.  ``engine_jobs`` is *never*
-        serialized: the parallel engine is bit-identical to serial, so the
-        worker count is an execution detail, not part of the result's
-        identity — a point simulated at any worker count fills (and hits)
-        the same cache entry.
+        and golden digest is bit-identical.
         """
         payload = {
             "version": SPEC_VERSION,

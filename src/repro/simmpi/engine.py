@@ -28,7 +28,6 @@ from repro.errors import CommunicatorError, DeadlockError, SimulationError
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.process_map import ProcessMap
 from repro.netsim.simulator import Simulator
-from repro.netsim.trace import TraceRecorder
 from repro.obs.metrics import build_job_metrics
 from repro.obs.sink import EventSink
 from repro.simmpi.datatypes import PROC_NULL
@@ -86,7 +85,7 @@ class _RankProcess:
     """Book-keeping of one simulated rank's generator."""
 
     __slots__ = ("rank", "generator", "resume", "local_time", "state", "finish_time",
-                 "waiting_on", "sim")
+                 "waiting_on")
 
     def __init__(self, rank: int, generator: Any) -> None:
         self.rank = rank
@@ -100,11 +99,6 @@ class _RankProcess:
         #: The requests of the ``Wait`` this rank is blocked on (``None``
         #: while runnable).  Only read when a deadlock report is built.
         self.waiting_on: Sequence[Request] | None = None
-        #: The :class:`~repro.netsim.simulator.Simulator` whose heap this
-        #: rank's continuations land on.  The serial engine points every
-        #: process at its single simulator; the parallel engine points each
-        #: process at its node partition's simulator.
-        self.sim: Simulator | None = None
 
     def waiting_desc(self) -> str:
         """Lazy description of the blocked wait (deadlock reports only)."""
@@ -156,15 +150,8 @@ class _WaitState:
                 sink.wait(process.rank, self.issue_time, resume_time, len(requests))
             # Every request completes at or after the current simulated time,
             # so resume_time >= now and the direct heap push (see _schedule
-            # note in SpmdEngine._step) is safe.  The push targets the
-            # *owning* process's simulator: under the parallel engine this is
-            # the only site where executing one partition schedules work on
-            # another, so the lookahead guard (a no-op ``None`` on the serial
-            # engine) checks the conservative-PDES invariant here.
-            guard = engine._lookahead_guard
-            if guard is not None:
-                guard(process, resume_time)
-            simulator = process.sim
+            # note in SpmdEngine._step) is safe.
+            simulator = engine.simulator
             seq = simulator._next_seq
             simulator._next_seq = seq + 1
             heappush(simulator._heap, (resume_time, seq, engine._bound_step, process, statuses))
@@ -255,8 +242,6 @@ class JobResult:
     phase_timings: list[dict[str, float]]
     #: Message/byte counts per locality level.
     traffic_by_level: dict[LocalityLevel, tuple[int, int]]
-    #: Optional full message trace (``None`` unless requested).
-    trace: TraceRecorder | None
     #: Per-node NIC accounting.
     nic_statistics: list[dict]
     #: Number of discrete events processed.
@@ -297,7 +282,6 @@ class SpmdEngine:
         self,
         pmap: ProcessMap,
         *,
-        record_trace: bool = False,
         sink: "EventSink | None" = None,
         max_events: int = 200_000_000,
         faults=None,
@@ -320,8 +304,7 @@ class SpmdEngine:
                 "(run with fold='off')"
             )
         self.timing = TimingModel(pmap, sink=sink, faults=self.faults)
-        self.trace = TraceRecorder() if record_trace else None
-        self.router = MessageRouter(self.timing, trace=self.trace, sink=sink)
+        self.router = MessageRouter(self.timing, sink=sink)
         self.contexts = ContextIdAllocator()
         self._processes: list[_RankProcess] = []
         self._rank_contexts: list[RankContext] = []
@@ -343,11 +326,6 @@ class SpmdEngine:
                 from repro.faults.apply import OsNoiseState
 
                 self._noise = OsNoiseState(amplitude, self.faults.seed)
-        #: Hook checked on cross-process wakeups (``_WaitState.notify``).
-        #: ``None`` on the serial engine — one pointer test per wait
-        #: completion; the parallel engine installs its lookahead-invariant
-        #: checker here.
-        self._lookahead_guard: Callable[[_RankProcess, float], None] | None = None
 
     # -- public API ---------------------------------------------------------
     def run(self, program: Callable[..., Any], *args: Any, **kwargs: Any) -> JobResult:
@@ -355,20 +333,13 @@ class SpmdEngine:
         if self._processes:
             raise SimulationError("an SpmdEngine can only run a single job; create a new engine")
         self._spawn(program, *args, **kwargs)
-        self._drive()
+        self.simulator.run()
         self._check_completion()
         return self._build_result()
 
     # -- job setup -----------------------------------------------------------
     def _spawn(self, program: Callable[..., Any], *args: Any, **kwargs: Any) -> None:
-        """Instantiate one rank program per simulated process and schedule step 0.
-
-        The initial steps are scheduled in rank order through each process's
-        owning simulator (:meth:`_sim_for`); with the serial engine's single
-        simulator this is exactly the historical schedule, and the parallel
-        engine's shared sequence counter preserves the identical global
-        ``(time, seq)`` keys.
-        """
+        """Instantiate one rank program per simulated process and schedule step 0."""
         # Imported here to avoid a circular import at module load time.
         from repro.simmpi.comm import Communicator
 
@@ -393,21 +364,12 @@ class SpmdEngine:
                     f"{type(generator).__name__}"
                 )
             process = _RankProcess(rank, generator)
-            process.sim = self._sim_for(process)
             ctx._process = process
             self._rank_contexts.append(ctx)
             self._processes.append(process)
 
         for process in self._processes:
-            process.sim.schedule_call(0.0, self._bound_step, process, None)
-
-    def _sim_for(self, process: _RankProcess) -> Simulator:
-        """The simulator owning ``process``'s events (partition hook)."""
-        return self.simulator
-
-    def _drive(self) -> None:
-        """Execute events until every queue drains (overridden in parallel)."""
-        self.simulator.run()
+            self.simulator.schedule_call(0.0, self._bound_step, process, None)
 
     # -- process stepping -----------------------------------------------------
     def _step(self, process: _RankProcess, send_value: Any) -> None:
@@ -426,7 +388,7 @@ class SpmdEngine:
         # No per-step state write: "running" can never be observed (deadlock
         # reports only exist once the event queue has drained, and a rank is
         # then ready, waiting or done).
-        simulator = process.sim
+        simulator = self.simulator
         process.local_time = now = simulator._now
         try:
             operation = process.resume(send_value)
@@ -575,7 +537,6 @@ class SpmdEngine:
             elapsed=max(finish_times) if finish_times else 0.0,
             phase_timings=[dict(ctx.timings) for ctx in self._rank_contexts],
             traffic_by_level=traffic,
-            trace=self.trace,
             nic_statistics=self.timing.nic_statistics(),
             events_processed=self.simulator.events_processed,
             fabric_statistics=self.timing.fabric_statistics(),
@@ -602,32 +563,12 @@ def run_spmd(
     pmap: ProcessMap,
     program: Callable[..., Any],
     *args: Any,
-    record_trace: bool = False,
     sink: EventSink | None = None,
-    engine_jobs: int = 1,
     faults=None,
     **kwargs: Any,
 ) -> JobResult:
     """Convenience wrapper: build an engine, run ``program`` on every rank, return the result.
 
-    ``engine_jobs`` > 1 selects the conservative-lookahead parallel engine
-    (:class:`repro.simmpi.parallel.ParallelSpmdEngine`), which partitions
-    ranks by node across that many workers and produces bit-identical
-    simulated timings.  ``faults`` is an optional
-    :class:`repro.faults.FaultSpec`; every fault model only ever delays
-    traffic, so the parallel engine's conservative lookahead stays sound
-    and faulted runs are bit-identical at any worker count too.
+    ``faults`` is an optional :class:`repro.faults.FaultSpec`.
     """
-    if engine_jobs < 1:
-        raise SimulationError(f"engine_jobs must be >= 1, got {engine_jobs}")
-    if engine_jobs > 1:
-        # Imported lazily: the serial hot path never pays for threading.
-        from repro.simmpi.parallel import ParallelSpmdEngine
-
-        engine: SpmdEngine = ParallelSpmdEngine(
-            pmap, workers=engine_jobs, record_trace=record_trace, sink=sink,
-            faults=faults,
-        )
-    else:
-        engine = SpmdEngine(pmap, record_trace=record_trace, sink=sink, faults=faults)
-    return engine.run(program, *args, **kwargs)
+    return SpmdEngine(pmap, sink=sink, faults=faults).run(program, *args, **kwargs)

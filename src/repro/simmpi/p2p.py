@@ -72,7 +72,6 @@ from repro.machine.hierarchy import LocalityLevel
 from repro.machine.params import MachineParameters
 from repro.machine.process_map import ProcessMap
 from repro.netsim.resources import SerialResource, ThroughputTracker
-from repro.netsim.trace import MessageRecord, TraceRecorder
 from repro.simmpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.simmpi.request import Request
 from repro.simmpi.status import Status
@@ -160,25 +159,6 @@ class TimingModel:
         if level == LocalityLevel.SELF:
             return 0.0
         return self._latency[level]
-
-    def lookahead(self) -> float:
-        """Conservative lower bound on cross-node data-arrival latency.
-
-        No payload sent between two distinct nodes can *arrive* sooner than
-        ``nic_message_overhead`` (the zero-byte NIC injection occupancy) plus
-        the NETWORK wire latency plus — when a fabric is configured — the
-        uncongested latency of its cheapest route.  With no fabric the NIC
-        floor plus wire latency is the whole bound.  The parallel engine
-        (:mod:`repro.simmpi.parallel`) uses this as its conservative-PDES
-        lookahead window; note that *sender-side* completions of rendezvous
-        sends are only bounded by the ``nic_message_overhead`` injection
-        floor, which is the runtime-guarded invariant.
-        """
-        bound = self._nic_message_overhead + self._latency[LocalityLevel.NETWORK]
-        fabric = self.fabric
-        if fabric is not None:
-            bound += fabric.min_route_latency()
-        return bound
 
     def transfer(
         self,
@@ -271,11 +251,11 @@ class _InboundSend:
 
     __slots__ = (
         "request", "src", "dst", "tag", "context_id", "nbytes", "payload",
-        "protocol", "ready_time", "sender_ready", "post_time", "level",
+        "protocol", "ready_time", "sender_ready", "level",
     )
 
     def __init__(self, request, src, dst, tag, context_id, nbytes, payload,
-                 protocol, ready_time, sender_ready, post_time, level):
+                 protocol, ready_time, sender_ready, level):
         self.request = request
         self.src = src
         self.dst = dst
@@ -292,7 +272,6 @@ class _InboundSend:
         self.ready_time = ready_time
         #: Rendezvous only: earliest time the sender can start the transfer.
         self.sender_ready = sender_ready
-        self.post_time = post_time
         self.level = level
 
 
@@ -584,13 +563,11 @@ class MessageRouter:
         self,
         timing: TimingModel,
         *,
-        trace: TraceRecorder | None = None,
         traffic: ThroughputTracker | None = None,
         sink=None,
     ) -> None:
         self.timing = timing
         self.params = timing.params
-        self.trace = trace
         #: Optional :class:`repro.obs.sink.EventSink` receiving the matching
         #: lifecycle; ``None`` costs one pointer test per emission point.
         self.sink = sink
@@ -758,14 +735,6 @@ class MessageRouter:
                         callback(recv_request)
                 if sink is not None:
                     sink.matched(src, dst, nbytes, tag, True, arrival, completion)
-                if self.trace is not None:
-                    self.trace.record(
-                        MessageRecord(
-                            source=src, dest=dst, nbytes=nbytes, level=level,
-                            tag=tag, context_id=context_id, post_time=ready_time,
-                            arrival_time=arrival, completion_time=completion,
-                        )
-                    )
                 return request
             # The message has to wait for a future receive; snapshot the
             # payload so the sender may reuse its buffer (buffered-send
@@ -774,7 +743,7 @@ class MessageRouter:
             unexpected.append(key, _InboundSend(
                 request, src, dst, tag, context_id, nbytes,
                 np.array(payload.reshape(-1), copy=True),
-                "eager", arrival, ready_time, ready_time, level,
+                "eager", arrival, ready_time, level,
             ))
             self.unexpected_parked += 1
             depth = len(unexpected._live)
@@ -789,7 +758,7 @@ class MessageRouter:
         rts_arrival = ready_time + self._half_rendezvous + timing.control_latency(level)
         inbound = _InboundSend(
             request, src, dst, tag, context_id, nbytes, payload,
-            "rndv", rts_arrival, ready_time, ready_time, level,
+            "rndv", rts_arrival, ready_time, level,
         )
         found = self._match_posted(mailbox, key, context_id, src, tag)
         if found is not None:
@@ -925,21 +894,12 @@ class MessageRouter:
                 if sink is not None:
                     sink.matched(mirror_src, mirror_dst, nbytes, tag, True,
                                  arrival, completion)
-                if self.trace is not None:
-                    self.trace.record(
-                        MessageRecord(
-                            source=mirror_src, dest=mirror_dst, nbytes=nbytes,
-                            level=level, tag=tag, context_id=context_id,
-                            post_time=ready_time, arrival_time=arrival,
-                            completion_time=completion,
-                        )
-                    )
                 return request
             unexpected = mailbox.unexpected
             unexpected.append(key, _InboundSend(
                 request, mirror_src, mirror_dst, tag, context_id, nbytes,
                 np.array(payload.reshape(-1), copy=True),
-                "eager", arrival, ready_time, ready_time, level,
+                "eager", arrival, ready_time, level,
             ))
             self.unexpected_parked += 1
             depth = len(unexpected._live)
@@ -956,7 +916,7 @@ class MessageRouter:
         rts_arrival = ready_time + self._half_rendezvous + self._net_latency
         inbound = _InboundSend(
             request, mirror_src, mirror_dst, tag, context_id, nbytes, payload,
-            "rndv", rts_arrival, ready_time, ready_time, level,
+            "rndv", rts_arrival, ready_time, level,
         )
         found = self._match_posted(mailbox, key, context_id, mirror_src, tag)
         if found is not None:
@@ -1100,15 +1060,6 @@ class MessageRouter:
         if sink is not None:
             sink.matched(inbound.src, inbound.dst, inbound.nbytes, inbound.tag,
                          fast_path, arrival, completion)
-        if self.trace is not None:
-            self.trace.record(
-                MessageRecord(
-                    source=inbound.src, dest=inbound.dst, nbytes=inbound.nbytes,
-                    level=inbound.level, tag=inbound.tag, context_id=inbound.context_id,
-                    post_time=inbound.post_time, arrival_time=arrival,
-                    completion_time=completion,
-                )
-            )
 
     # -- diagnostics -----------------------------------------------------------
     def pending_summary(self, max_per_rank: int = 8) -> list[str]:

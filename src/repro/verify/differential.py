@@ -208,10 +208,6 @@ class DifferentialRunner:
         Attempt to reduce failing scenarios (fewer ranks, fewer bytes) to a
         minimal reproducer before reporting.  Disabled inside the shrinking
         search itself.
-    engine_jobs:
-        Parallel-engine worker count for every simulated run (bit-identical
-        to serial, so verification verdicts and golden digests are
-        unchanged at any value).
     faults:
         Optional :class:`repro.faults.FaultSpec` injected into every
         simulated run.  Faults perturb timings only, never delivered
@@ -219,10 +215,8 @@ class DifferentialRunner:
         fault load — running the corpus faulted checks exactly that.
     """
 
-    def __init__(self, *, shrink: bool = True, engine_jobs: int = 1,
-                 faults=None) -> None:
+    def __init__(self, *, shrink: bool = True, faults=None) -> None:
         self.shrink = shrink
-        self.engine_jobs = engine_jobs
         self.faults = faults if faults else None
 
     # -- public API ----------------------------------------------------------
@@ -311,18 +305,17 @@ class DifferentialRunner:
             if scenario.family == "uniform":
                 outcome = run_alltoall(
                     algo, pmap, scenario.msg_bytes, dtype=_DTYPE, validate=True,
-                    engine_jobs=self.engine_jobs, faults=self.faults,
+                    faults=self.faults,
                 )
             elif scenario.family == "phased":
                 outcome = run_phased_workload(
                     (config.name, options), pmap, scenario.phases,
-                    dtype=_DTYPE, validate=True,
-                    engine_jobs=self.engine_jobs, faults=self.faults,
+                    dtype=_DTYPE, validate=True, faults=self.faults,
                 )
             else:
                 outcome = run_workload(
                     algo, pmap, scenario.matrix, dtype=_DTYPE, validate=True,
-                    engine_jobs=self.engine_jobs, faults=self.faults,
+                    faults=self.faults,
                 )
         except Exception as exc:  # a crash on a valid scenario is a finding
             return self._failure(
@@ -425,16 +418,13 @@ class DifferentialRunner:
         return failure
 
 
-def verify_seed(seed: int, max_ranks: int = 24, *, fabric=None,
-                engine_jobs: int = 1, faults=None,
+def verify_seed(seed: int, max_ranks: int = 24, *, fabric=None, faults=None,
                 phased: bool = False) -> VerificationRecord:
     """Verify the scenario of one seed (the programmatic one-liner).
 
     ``fabric`` (a :mod:`repro.netsim.fabric` spec) opts the sampled cluster
     into a contended inter-node topology and widens the traffic sampler
     with the link-stressing incast / neighbour-shift shapes.
-    ``engine_jobs`` selects the parallel engine for the simulated runs
-    (bit-identical timings, identical verdicts and digests).
     ``faults`` (a :class:`repro.faults.FaultSpec`) injects deterministic
     machine degradations into every simulated run: faults perturb timings
     only, never the delivered bytes, so the differential byte checks and
@@ -449,22 +439,20 @@ def verify_seed(seed: int, max_ranks: int = 24, *, fabric=None,
     scenario = ScenarioGenerator(
         max_ranks=max_ranks, fabric=fabric, phased=phased
     ).scenario(seed)
-    return DifferentialRunner(engine_jobs=engine_jobs, faults=faults).verify(scenario)
+    return DifferentialRunner(faults=faults).verify(scenario)
 
 
 def verify_task(task: tuple) -> VerificationRecord:
-    """Module-level pool worker: ``task`` is a picklable ``(seed, max_ranks)``
-    optionally extended with ``fabric_spec``, ``engine_jobs``, a
-    :class:`repro.faults.FaultSpec` and a ``phased`` sampler flag
-    (trailing slots may be omitted).
+    """Module-level pool worker: ``task`` is a picklable
+    ``(seed, max_ranks, fabric_spec, faults, phased)`` tuple — a
+    :mod:`repro.netsim.fabric` spec, a :class:`repro.faults.FaultSpec` and
+    the phased sampler flag; trailing slots may be omitted.
 
     Lives at module scope so :meth:`repro.runtime.SweepExecutor.map` can fan
     scenario seeds out over a ``spawn`` process pool.
     """
     seed, max_ranks = task[0], task[1]
     fabric = task[2] if len(task) > 2 else None
-    engine_jobs = task[3] if len(task) > 3 else 1
-    faults = task[4] if len(task) > 4 else None
-    phased = task[5] if len(task) > 5 else False
-    return verify_seed(seed, max_ranks, fabric=fabric, engine_jobs=engine_jobs,
-                       faults=faults, phased=phased)
+    faults = task[3] if len(task) > 3 else None
+    phased = task[4] if len(task) > 4 else False
+    return verify_seed(seed, max_ranks, fabric=fabric, faults=faults, phased=phased)

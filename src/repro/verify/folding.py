@@ -152,11 +152,10 @@ def compare_alltoall_fold(
     msg_bytes: int,
     *,
     equivalence: str = "exact",
-    engine_jobs: int = 1,
 ) -> FoldGateRecord:
     """Run one uniform exchange folded and unfolded, compare the timelines."""
-    full = run_alltoall(algorithm, pmap, msg_bytes, fold="off", engine_jobs=engine_jobs)
-    folded = run_alltoall(algorithm, pmap, msg_bytes, fold="on", engine_jobs=engine_jobs)
+    full = run_alltoall(algorithm, pmap, msg_bytes, fold="off")
+    folded = run_alltoall(algorithm, pmap, msg_bytes, fold="on")
     label = f"{algorithm} {pmap.num_nodes}n x {pmap.ppn}p msg={msg_bytes}"
     return _compare(full, folded, label, equivalence)
 
@@ -168,11 +167,10 @@ def compare_workload_fold(
     label: str,
     *,
     equivalence: str = "exact",
-    engine_jobs: int = 1,
 ) -> FoldGateRecord:
     """Run one non-uniform exchange folded and unfolded, compare timelines."""
-    full = run_workload(algorithm, pmap, matrix, fold="off", engine_jobs=engine_jobs)
-    folded = run_workload(algorithm, pmap, matrix, fold="on", engine_jobs=engine_jobs)
+    full = run_workload(algorithm, pmap, matrix, fold="off")
+    folded = run_workload(algorithm, pmap, matrix, fold="on")
     return _compare(full, folded, label, equivalence)
 
 
@@ -182,15 +180,11 @@ def run_fold_gate(
     ppn: int = 4,
     algorithms: Sequence[str] | None = None,
     include_fabric: bool = True,
-    engine_jobs: int = 1,
 ) -> FoldGateReport:
     """Differential gate over the algorithm registry, eager + rendezvous sizes.
 
     ``num_nodes`` is capped at 64 — beyond that the unfolded side of the
     comparison stops being tractable, which is the point of folding.
-    ``engine_jobs`` runs both sides of every comparison on the parallel
-    engine (the folded side degenerates to one partition); the gate's
-    bit-exact verdicts are unchanged at any worker count.
     """
     if num_nodes > 64:
         raise ValueError(f"fold gate compares against full runs; num_nodes={num_nodes} > 64")
@@ -201,7 +195,7 @@ def run_fold_gate(
     for name in names:
         for msg_bytes in _GATE_SIZES:
             report.records.append(
-                compare_alltoall_fold(name, pmap, msg_bytes, engine_jobs=engine_jobs)
+                compare_alltoall_fold(name, pmap, msg_bytes)
             )
 
     nprocs = num_nodes * ppn
@@ -214,7 +208,6 @@ def run_fold_gate(
         report.records.append(
             compare_workload_fold(
                 "pairwise", pmap, matrix, f"pairwise workload:{kind} {num_nodes}n x {ppn}p",
-                engine_jobs=engine_jobs,
             )
         )
 
@@ -223,8 +216,7 @@ def run_fold_gate(
         fpmap = ProcessMap(tiny_cluster(num_nodes=num_nodes, fabric=fabric), ppn=ppn)
         for name in ("pairwise", "node-aware"):
             report.records.append(
-                compare_alltoall_fold(name, fpmap, 32768, equivalence="aggregate",
-                                      engine_jobs=engine_jobs)
+                compare_alltoall_fold(name, fpmap, 32768, equivalence="aggregate")
             )
     return report
 

@@ -8,6 +8,10 @@ from repro.bench import micro
 from repro.errors import ConfigurationError
 
 
+#: Two canonical keys: only points still in the suite survive a partial merge.
+_A, _B = (job.key for job in micro.CANONICAL_JOBS[:2])
+
+
 def _result(key, wall, events=1000):
     return micro.MicroResult(key=key, description=key, wall_seconds=wall,
                              sim_elapsed=1e-4, events=events, repeats=1)
@@ -60,26 +64,35 @@ class TestReport:
 
     def test_quick_merge_keeps_unmeasured_points(self, tmp_path):
         report = {"schema": 1}
-        micro.merge_results(report, [_result("a", 1.0), _result("b", 2.0)], 0.5,
+        micro.merge_results(report, [_result(_A, 1.0), _result(_B, 2.0)], 0.5,
                             label="full")
-        micro.merge_results(report, [_result("a", 0.9)], 0.5, label="quick")
+        micro.merge_results(report, [_result(_A, 0.9)], 0.5, label="quick")
         points = report["current"]["points"]
-        assert points["a"]["wall_seconds"] == 0.9
-        assert points["b"]["wall_seconds"] == 2.0, "quick runs must not erase points"
+        assert points[_A]["wall_seconds"] == 0.9
+        assert points[_B]["wall_seconds"] == 2.0, "quick runs must not erase points"
+
+    def test_merge_drops_retired_points(self):
+        report = {"schema": 1}
+        micro.merge_results(report, [_result(_A, 1.0), _result("retired/job", 2.0)],
+                            0.5, label="old suite")
+        micro.merge_results(report, [_result(_A, 0.9)], 0.5, label="quick")
+        assert set(report["current"]["points"]) == {_A}, (
+            "a key no longer in CANONICAL_JOBS must not be carried over"
+        )
 
     def test_kept_points_retain_their_own_calibration(self):
         # Full run on a fast machine (0.5s probe), then a quick run on a 2x
-        # slower machine (1.0s probe) re-measuring only point "a": point "b"
+        # slower machine (1.0s probe) re-measuring only point A: point B
         # must keep the calibration it was measured under, so a later check
         # on the fast machine does not scale it by the slow probe.
         report = {"schema": 1}
-        micro.merge_results(report, [_result("a", 1.0), _result("b", 2.0)], 0.5,
+        micro.merge_results(report, [_result(_A, 1.0), _result(_B, 2.0)], 0.5,
                             label="full fast machine")
-        micro.merge_results(report, [_result("a", 2.0)], 1.0, label="quick slow machine")
+        micro.merge_results(report, [_result(_A, 2.0)], 1.0, label="quick slow machine")
         points = report["current"]["points"]
-        assert points["b"]["calibration_seconds"] == 0.5
+        assert points[_B]["calibration_seconds"] == 0.5
         problems = micro.compare_results(
-            report, [_result("a", 2.0), _result("b", 2.0)], 1.0, tolerance=0.25
+            report, [_result(_A, 2.0), _result(_B, 2.0)], 1.0, tolerance=0.25
         )
         assert problems == [], "b's 2x wall on the 2x-slower machine is not a regression"
 

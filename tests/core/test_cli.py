@@ -267,14 +267,10 @@ class TestArgumentValidation:
     """Count-like flags must be rejected at parse time with a clean exit."""
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--engine-jobs", "0"],
-        ["run", "--engine-jobs", "-1"],
         ["run", "--msg-bytes", "0"],
-        ["figures", "--engine-jobs", "0"],
         ["figures", "--jobs", "-1"],
         ["figures", "--jobs", "x"],
         ["select", "--sizes", "4", "0"],
-        ["workload", "--engine-jobs", "0"],
         ["workload", "--msg-bytes", "-8"],
         ["perf", "--repeats", "0"],
     ])
@@ -288,24 +284,22 @@ class TestArgumentValidation:
                      "--nodes", "2", "--ppn", "4", "--jobs", "0"]) == 0
 
 
-class TestEngineJobsFlag:
-    def test_run_output_identical_at_any_worker_count(self, capsys):
+class TestOutputDeterminism:
+    def test_run_output_identical_across_runs(self, capsys):
         argv = ["run", "--system", "dane", "--nodes", "4", "--ppn", "2",
                 "--algorithm", "pairwise", "--msg-bytes", "256"]
         assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main([*argv, "--engine-jobs", "4"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
-    def test_figures_output_identical_at_any_worker_count(self, capsys):
+    def test_figures_output_identical_across_runs(self, capsys):
         argv = ["figures", "--id", "fig10", "--engine", "simulate",
                 "--nodes", "2", "--ppn", "4", "--csv"]
         assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main([*argv, "--engine-jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
 
 class TestTraceCommand:

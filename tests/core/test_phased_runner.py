@@ -76,19 +76,16 @@ class TestRunPhasedSingleJob:
         with pytest.raises(ConfigurationError):
             run_phased_workload("nonblocking", pmap, _workload(8))
 
-    def test_bit_identical_across_engine_jobs(self):
+    def test_bit_identical_across_runs(self):
         pmap = ProcessMap(tiny_cluster(num_nodes=4), ppn=2)
         workload = _workload(8)
         reference = run_phased_workload("node-aware", pmap, workload)
-        for engine_jobs in (2, 4):
-            outcome = run_phased_workload(
-                "node-aware", pmap, workload, engine_jobs=engine_jobs
-            )
-            assert outcome.elapsed == reference.elapsed
-            assert outcome.phase_times == reference.phase_times
-            for got, want in zip(outcome.job.results, reference.job.results):
-                for a, b in zip(got, want):
-                    assert np.array_equal(a, b)
+        outcome = run_phased_workload("node-aware", pmap, workload)
+        assert outcome.elapsed == reference.elapsed
+        assert outcome.phase_times == reference.phase_times
+        for got, want in zip(outcome.job.results, reference.job.results):
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b)
 
 
 class TestRunPhasedMultiJob:
@@ -146,17 +143,16 @@ class TestRunPhasedMultiJob:
                 pmap,
             )
 
-    def test_multi_job_bit_identical_across_engine_jobs(self):
+    def test_multi_job_bit_identical_across_runs(self):
         pmap = self._pmap()
         jobs = [
             PhasedJob.make(_workload(4, seed=0), "nonblocking", 2),
             PhasedJob.make(_workload(4, seed=1), "node-aware", 2),
         ]
         reference = run_phased(jobs, pmap)
-        for engine_jobs in (2, 4):
-            outcome = run_phased(jobs, pmap, engine_jobs=engine_jobs)
-            assert outcome.elapsed == reference.elapsed
-            assert outcome.phase_times == reference.phase_times
+        outcome = run_phased(jobs, pmap)
+        assert outcome.elapsed == reference.elapsed
+        assert outcome.phase_times == reference.phase_times
 
 
 class TestSelectPhased:

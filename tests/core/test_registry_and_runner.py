@@ -13,6 +13,7 @@ from repro.core.alltoall import (
 from repro.errors import ConfigurationError
 from repro.machine import ProcessMap, tiny_cluster
 from repro.machine.hierarchy import LocalityLevel
+from repro.obs import RecordingSink
 
 
 class TestRegistry:
@@ -79,10 +80,13 @@ class TestRunner:
         outcome = run_alltoall("pairwise", pmap, msg_bytes=16, keep_job=False)
         assert outcome.job is None
 
-    def test_trace_recording(self, pmap):
-        outcome = run_alltoall("node-aware", pmap, msg_bytes=16, record_trace=True)
-        assert outcome.job.trace is not None
-        assert outcome.job.trace.message_count(inter_node=True) == outcome.inter_node_messages
+    def test_matched_messages_agree_with_traffic(self, pmap):
+        sink = RecordingSink()
+        outcome = run_alltoall("node-aware", pmap, msg_bytes=16, sink=sink)
+        inter_node = [event for event in sink.of_kind("match")
+                      if pmap.locality(event[1], event[2]) == LocalityLevel.NETWORK]
+        assert inter_node
+        assert len(inter_node) == outcome.inter_node_messages
 
     def test_dtype_item_size_respected(self, pmap):
         outcome = run_alltoall("pairwise", pmap, msg_bytes=32, dtype=np.int64)

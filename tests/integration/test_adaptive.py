@@ -77,7 +77,7 @@ class TestAdaptiveFigure:
             f"({static_total:.3e} s) on the interference scenario"
         )
 
-    def test_figure_is_deterministic_across_engine_jobs(self):
+    def test_figure_is_deterministic(self):
         def rows(figure):
             return [
                 (series.label, point.x, point.seconds)
@@ -87,8 +87,7 @@ class TestAdaptiveFigure:
 
         workload = adaptive_demo_workload(16)
         reference = figure_adaptive(workload=workload)
-        for engine_jobs in (2, 4):
-            assert rows(figure_adaptive(workload=workload, engine_jobs=engine_jobs)) == rows(reference)
+        assert rows(figure_adaptive(workload=workload)) == rows(reference)
 
     def test_cached_rerun_simulates_nothing(self, tmp_path):
         workload = adaptive_demo_workload(16)

@@ -12,8 +12,9 @@ import pytest
 from repro.bench import BenchmarkHarness, figure10, format_figure, to_csv
 from repro.core import run_alltoall
 from repro.core.selection import AlgorithmSelector, SelectionTable, default_candidates
-from repro.machine import ProcessMap, get_system
+from repro.machine import LocalityLevel, ProcessMap, get_system
 from repro.model.predict import predict_time
+from repro.obs import RecordingSink
 
 
 class TestFullWorkflow:
@@ -23,13 +24,17 @@ class TestFullWorkflow:
         return ProcessMap(cluster, ppn=8, num_nodes=4)
 
     def test_simulate_validate_and_model_one_exchange(self, pmap):
+        sink = RecordingSink()
         outcome = run_alltoall(
-            "multileader-node-aware", pmap, msg_bytes=256, procs_per_leader=4, record_trace=True
+            "multileader-node-aware", pmap, msg_bytes=256, procs_per_leader=4, sink=sink
         )
         assert outcome.correct
-        # The trace, traffic counters and phase breakdown must be mutually consistent.
-        assert outcome.job.trace.message_count(inter_node=True) == outcome.inter_node_messages
-        assert outcome.job.trace.byte_count(inter_node=True) == outcome.inter_node_bytes
+        # The matched messages, traffic counters and phase breakdown must be
+        # mutually consistent.
+        inter_node = [event for event in sink.of_kind("match")
+                      if pmap.locality(event[1], event[2]) == LocalityLevel.NETWORK]
+        assert len(inter_node) == outcome.inter_node_messages
+        assert sum(event[3] for event in inter_node) == outcome.inter_node_bytes
         # Every instrumented phase fits within the total exchange duration.
         assert all(v <= outcome.elapsed for v in outcome.phase_times.values())
         # The analytic model for the same configuration is within an order of magnitude.

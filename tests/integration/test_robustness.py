@@ -39,9 +39,3 @@ class TestWinnerFlip:
         spec = parse_faults(ROBUSTNESS_FAULTS)
         assert spec
         assert {f.link for f in spec.link_faults()} == {"df-g0-1"}
-
-    def test_engine_jobs_do_not_move_the_figure(self):
-        serial = figure_robustness()
-        parallel = figure_robustness(engine_jobs=2)
-        for a, b in zip(serial.series, parallel.series):
-            assert [p.seconds for p in a.points] == [p.seconds for p in b.points]

@@ -16,6 +16,40 @@ class TestScheduling:
         assert seen == [1, 2]
         assert sim.now == 2.0
 
+    def test_ties_broken_by_scheduling_order(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule_at(1.0, lambda: seen.append("a"))
+        sim.schedule_call(1.0, seen.append, "b")
+        sim.schedule_after(1.0, lambda: seen.append("c"))
+        sim.schedule_call(1.0, lambda x, y: seen.append(x + y), "d", "")
+        sim.run()
+        assert seen == ["a", "b", "c", "d"]
+
+    @pytest.mark.parametrize("args", [(), (1,), (1, 2), (1, 2, 3)])
+    def test_schedule_call_passes_every_argument(self, args):
+        sim = Simulator()
+        calls = []
+        sim.schedule_call(0.5, lambda *got: calls.append((sim.now, got)), *args)
+        sim.run()
+        assert calls == [(0.5, args)]
+
+    def test_schedule_call_in_the_past_rejected(self):
+        sim = Simulator()
+        sim.schedule_at(2.0, lambda: None)
+        sim.run()
+        with pytest.raises(SimulationError):
+            sim.schedule_call(1.0, print, "a", "b")
+
+    def test_pending_events_tracks_the_queue(self):
+        sim = Simulator()
+        assert sim.pending_events == 0
+        sim.schedule_at(2.0, lambda: None)
+        sim.schedule_call(1.0, lambda a, b: None, 0, 0)
+        assert sim.pending_events == 2
+        sim.run()
+        assert sim.pending_events == 0
+
     def test_schedule_after_is_relative(self):
         sim = Simulator()
         times = []

@@ -49,9 +49,9 @@ def test_noise_draws_are_pure_functions_of_spec_seed_rank(amplitude, seed, rank,
 def test_noise_streams_are_independent_of_interleaving(amplitude, seed, draws):
     """Interleaving ranks A and B cannot change either rank's stream.
 
-    This is exactly the property that makes the draws independent of
-    ``engine_jobs``: threads interleave rank programs arbitrarily, but each
-    rank consumes only its own stream.
+    This is exactly the property that makes the draws independent of how
+    the engine interleaves rank programs: each rank consumes only its own
+    stream.
     """
     interleaved = OsNoiseState(amplitude, seed)
     sequential = OsNoiseState(amplitude, seed)
@@ -113,14 +113,12 @@ def test_payload_roundtrip_is_lossless(spec):
 
 @settings(max_examples=8, deadline=None)
 @given(spec=fault_specs, msg_bytes=st.sampled_from([16, 64]))
-def test_faulted_simulation_is_deterministic_across_engine_jobs(spec, msg_bytes):
-    """Any fault load: serial and parallel engines agree bit for bit."""
+def test_faulted_simulation_is_deterministic(spec, msg_bytes):
+    """Any fault load: two runs agree bit for bit."""
     pmap = ProcessMap(tiny_cluster(num_nodes=2), ppn=4)
     faults = spec if spec else None
     serial = run_alltoall("pairwise", pmap, msg_bytes, keep_job=False,
                           faults=faults).elapsed
     rerun = run_alltoall("pairwise", pmap, msg_bytes, keep_job=False,
                          faults=faults).elapsed
-    parallel = run_alltoall("pairwise", pmap, msg_bytes, keep_job=False,
-                            faults=faults, engine_jobs=2).elapsed
-    assert serial == rerun == parallel
+    assert serial == rerun

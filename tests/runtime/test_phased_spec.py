@@ -4,7 +4,7 @@ The central invariant: ``phases`` joins the canonical payload **only when
 present**, so every cache key minted before phased specs existed is
 bit-identical afterwards.  A phased spec's key, in turn, is a pure
 function of its whole run plan (jobs, workload content, per-phase
-assignments) and — like every spec — independent of ``engine_jobs``.
+assignments).
 """
 
 import pytest
@@ -59,9 +59,6 @@ class TestPhasedSpecIdentity:
 
     def test_key_is_pure_function_of_plan(self):
         assert _phased_spec().key() == _phased_spec().key()
-
-    def test_key_independent_of_engine_jobs(self):
-        assert _phased_spec(engine_jobs=4).key() == _phased_spec().key()
 
     def test_key_moves_with_workload_content(self):
         cluster = tiny_cluster(num_nodes=2)

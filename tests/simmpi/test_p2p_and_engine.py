@@ -6,6 +6,7 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.machine import ProcessMap, tiny_cluster
 from repro.machine.hierarchy import LocalityLevel
+from repro.obs import RecordingSink
 from repro.simmpi import run_spmd
 from repro.simmpi.datatypes import ANY_SOURCE, ANY_TAG, PROC_NULL
 from repro.simmpi.engine import SpmdEngine
@@ -213,7 +214,7 @@ class TestTiming:
         assert result.traffic_by_level[LocalityLevel.NETWORK] == (1, 100)
         assert result.traffic_by_level[LocalityLevel.NUMA] == (1, 100)
 
-    def test_trace_records_messages(self, two_node_pmap):
+    def test_sink_records_matched_messages(self, two_node_pmap):
         def program(ctx):
             comm = ctx.world
             buf = np.zeros(16, dtype=np.uint8)
@@ -222,12 +223,13 @@ class TestTiming:
             elif ctx.rank == 7:
                 yield from comm.recv(buf, source=0)
 
-        result = run_spmd(two_node_pmap, program, record_trace=True)
-        assert result.trace is not None
-        assert result.trace.message_count() == 1
-        record = result.trace.records[0]
-        assert record.source == 0 and record.dest == 7 and record.nbytes == 16
-        assert record.completion_time >= record.arrival_time >= record.post_time
+        sink = RecordingSink()
+        run_spmd(two_node_pmap, program, sink=sink)
+        [send] = sink.of_kind("send")
+        [match] = sink.of_kind("match")
+        _, src, dst, nbytes, _, _, arrival, completion = match
+        assert (src, dst, nbytes) == (0, 7, 16)
+        assert completion >= arrival >= send[-1]
 
 
 class TestEngineErrors:

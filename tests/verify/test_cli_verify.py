@@ -22,11 +22,6 @@ class TestArguments:
         with pytest.raises(SystemExit):
             main(["verify", "--max-ranks", "0"])
 
-    def test_invalid_engine_jobs_rejected(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--engine-jobs", "0"])
-        assert excinfo.value.code == 2
-
     def test_count_rejected_at_parse_time(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["verify", "--count", "-3"])
@@ -43,18 +38,17 @@ class TestSweep:
     def test_max_ranks_is_honoured(self, capsys):
         assert main(["verify", "--seed", "1", "--count", "2", "--max-ranks", "4"]) == 0
 
-    def test_engine_jobs_sweep_is_bit_identical(self, capsys):
+    def test_sweep_is_deterministic(self, capsys):
         assert main(["verify", "--seed", "2025", "--count", "2"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["verify", "--seed", "2025", "--count", "2",
-                     "--engine-jobs", "2"]) == 0
-        assert capsys.readouterr().out == serial
+        first = capsys.readouterr().out
+        assert main(["verify", "--seed", "2025", "--count", "2"]) == 0
+        assert capsys.readouterr().out == first
 
     def test_failure_exits_nonzero_with_reproducer(self, capsys, monkeypatch):
         import repro.verify
 
         def failing_task(task):
-            seed, _max_ranks = task
+            seed = task[0]
             record = VerificationRecord(
                 seed=seed, digest="f" * 64, family="uniform",
                 description="injected", result_hash="0" * 64,
@@ -105,8 +99,3 @@ class TestPhasedFlag:
         assert main(["verify", "--seed", "2025100", "--count", "1",
                      "--max-ranks", "12"]) == 0
         assert "phased" not in capsys.readouterr().out
-
-    def test_phased_composes_with_engine_jobs(self, capsys):
-        assert main(["verify", "--seed", "2025100", "--count", "1", "--phased",
-                     "--engine-jobs", "2", "--max-ranks", "12"]) == 0
-        assert "phased" in capsys.readouterr().out
