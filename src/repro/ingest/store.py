@@ -16,11 +16,18 @@ same key and the same bytes on disk (writes are atomic rename-into-place,
 so concurrent ingestion of the same content is idempotent).  That purity
 is pinned by the hypothesis suite in
 ``tests/properties/test_ingest_properties.py``.
+
+Updating ``index.json`` is a read-modify-write, so :meth:`TraceStore.put`
+holds an exclusive ``flock`` on ``<root>/.lock`` from reading the index,
+through the name-conflict check, to writing it back: parallel ingests of
+different traces are serialized there and never drop each other's entry.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,6 +94,16 @@ class TraceStore:
             json.dumps(index, sort_keys=True, indent=2) + "\n",
         )
 
+    @contextmanager
+    def _index_lock(self):
+        """Hold the store's exclusive index lock (blocks other writers' updates)."""
+        with open(self.root / ".lock", "a") as handle:
+            fcntl.flock(handle, fcntl.LOCK_EX)
+            try:
+                yield
+            finally:
+                fcntl.flock(handle, fcntl.LOCK_UN)
+
     # -- public API ------------------------------------------------------------
     def put(self, workload: PhasedWorkload, *, name: str | None = None) -> str:
         """Index ``workload``; returns its content-hash key.
@@ -100,26 +117,27 @@ class TraceStore:
         object_path = self.objects / f"{key}.json"
         if not object_path.exists():
             atomic_write_text(object_path, workload.canonical() + "\n")
-        index = self._load_index()
-        entries = index.setdefault("entries", {})
         entry = {
             "name": name,
             "nprocs": workload.nprocs,
             "num_phases": workload.num_phases,
             "total_bytes": workload.total_bytes,
         }
-        if name is not None:
-            for other_key, other in entries.items():
-                if other.get("name") == name and other_key != key:
-                    raise ConfigurationError(
-                        f"trace store already binds name {name!r} to "
-                        f"{other_key[:12]}; refusing to alias it to {key[:12]}"
-                    )
-        previous = entries.get(key)
-        if previous is not None and name is None:
-            entry["name"] = previous.get("name")
-        entries[key] = entry
-        self._write_index(index)
+        with self._index_lock():
+            index = self._load_index()
+            entries = index.setdefault("entries", {})
+            if name is not None:
+                for other_key, other in entries.items():
+                    if other.get("name") == name and other_key != key:
+                        raise ConfigurationError(
+                            f"trace store already binds name {name!r} to "
+                            f"{other_key[:12]}; refusing to alias it to {key[:12]}"
+                        )
+            previous = entries.get(key)
+            if previous is not None and name is None:
+                entry["name"] = previous.get("name")
+            entries[key] = entry
+            self._write_index(index)
         return key
 
     def get(self, key: str) -> PhasedWorkload:

@@ -11,7 +11,13 @@ from __future__ import annotations
 
 import enum
 
-__all__ = ["LocalityLevel", "finest_level", "coarsest_level", "INTRA_NODE_LEVELS"]
+__all__ = [
+    "LocalityLevel",
+    "finest_level",
+    "coarsest_level",
+    "INTRA_NODE_LEVELS",
+    "LEVEL_OF_CODE",
+]
 
 
 class LocalityLevel(enum.IntEnum):
@@ -58,6 +64,12 @@ INTRA_NODE_LEVELS = (
     LocalityLevel.SOCKET,
     LocalityLevel.NODE,
 )
+
+
+#: Level by integer code: the values run 0..4 in order, so a code read from a
+#: locality table (:attr:`repro.machine.NodeArchitecture.level_table`)
+#: indexes this tuple directly.
+LEVEL_OF_CODE = tuple(LocalityLevel)
 
 
 def finest_level() -> LocalityLevel:

@@ -6,17 +6,23 @@ contiguously through NUMA domains and sockets.  :class:`ProcessMap` encodes
 that placement and answers the locality queries every other subsystem needs:
 which node a rank lives on, the locality level between two ranks, and the
 rank groupings (per node, per NUMA, per leader group) that the hierarchical
-algorithms split communicators along.
+algorithms split communicators along.  :meth:`ProcessMap.locality` answers
+one pair at a time (the simulator's per-message query);
+:meth:`ProcessMap.locality_codes` answers one rank against many peers at
+once (the analytic model's query).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
+
+import numpy as np
 
 from repro.errors import TopologyError
 from repro.machine.cluster import Cluster
-from repro.machine.hierarchy import LocalityLevel
+from repro.machine.hierarchy import LEVEL_OF_CODE, LocalityLevel
 from repro.utils.partition import contiguous_partition, validate_group_size
 
 __all__ = ["ProcessMap"]
@@ -129,10 +135,10 @@ class ProcessMap:
     def _pair_locality(self) -> dict[tuple[int, int], LocalityLevel]:
         """Memo table behind :meth:`locality` (one entry per queried pair).
 
-        The simulator resolves the locality of every simulated message; the
-        level of a pair is a pure function of the (frozen) placement, so the
-        at-most-``nprocs^2`` results are cached instead of re-deriving node
-        and core indices per message.
+        Only the simulator fills it: it resolves the locality of every
+        simulated message, and probes this dict directly before falling
+        back to :meth:`locality`.  The analytic model queries whole peer
+        sets through :meth:`locality_codes`, which bypasses the memo.
         """
         return {}
 
@@ -145,14 +151,35 @@ class ProcessMap:
             if not (0 <= rank_a < self.nprocs and 0 <= rank_b < self.nprocs):
                 self._check_rank(rank_a)
                 self._check_rank(rank_b)
-            if rank_a == rank_b:
-                level = LocalityLevel.SELF
-            elif rank_a // ppn != rank_b // ppn:
+            if rank_a // ppn != rank_b // ppn:
                 level = LocalityLevel.NETWORK
             else:
-                level = self.node_arch.core_locality(rank_a % ppn, rank_b % ppn)
+                level = LEVEL_OF_CODE[self.node_arch.level_table[rank_a % ppn, rank_b % ppn]]
             self._pair_locality[key] = level
         return level
+
+    def locality_codes(self, rank: int, peers: Sequence[int]) -> np.ndarray:
+        """Locality levels between ``rank`` and each of ``peers``, as int8 codes.
+
+        Element ``i`` is ``int(locality(rank, peers[i]))``: ``NETWORK`` for
+        an off-node peer, otherwise the entry of the node's
+        :attr:`~repro.machine.NodeArchitecture.level_table` for the two
+        cores.  ``peers`` may be any integer sequence (list, ``range`` or
+        array), in any order and with repeats; an out-of-range rank raises
+        the same :class:`TopologyError` as :meth:`locality`.
+        """
+        self._check_rank(rank)
+        peers = np.asarray(peers, dtype=np.intp)
+        # Viewed as unsigned, a negative rank is huge: one bound checks both ends.
+        if len(peers) and peers.view(np.uintp).max() >= self.nprocs:
+            self._check_rank(int(peers[(peers < 0) | (peers >= self.nprocs)][0]))
+        # The codes of ``rank`` against every rank of the job: NETWORK off
+        # its node, the table row for its core on it.
+        ppn = self.ppn
+        core = rank % ppn
+        row = np.full(self.nprocs, LocalityLevel.NETWORK, dtype=np.int8)
+        row[rank - core: rank - core + ppn] = self.node_arch.level_table[core, :ppn]
+        return row[peers]
 
     def same_node(self, rank_a: int, rank_b: int) -> bool:
         return self.node_of(rank_a) == self.node_of(rank_b)

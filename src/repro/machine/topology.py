@@ -6,16 +6,38 @@ cores are grouped, so that the locality level between any two cores can be
 derived.  Cores are numbered ``0 .. cores_per_node-1`` contiguously by NUMA
 domain, then by socket, which mirrors the sequential (``--map-by core``)
 rank placement the paper uses.
+
+The level between every pair of cores is tabulated once per node shape
+(:attr:`NodeArchitecture.level_table`); single-pair queries and the bulk
+queries of :meth:`repro.machine.ProcessMap.locality_codes` both read it, so
+the NUMA/socket rule exists in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from repro.errors import TopologyError
-from repro.machine.hierarchy import LocalityLevel
+from repro.machine.hierarchy import LEVEL_OF_CODE, LocalityLevel
 
 __all__ = ["NodeArchitecture"]
+
+
+@lru_cache(maxsize=64)
+def _level_table(sockets: int, numa_per_socket: int, cores_per_numa: int) -> np.ndarray:
+    """Read-only ``cores x cores`` int8 table of ``LocalityLevel`` codes."""
+    core = np.arange(sockets * numa_per_socket * cores_per_numa)
+    numa = core // cores_per_numa
+    socket = core // (numa_per_socket * cores_per_numa)
+    table = np.full((core.size, core.size), LocalityLevel.NODE, dtype=np.int8)
+    table[socket[:, None] == socket[None, :]] = LocalityLevel.SOCKET
+    table[numa[:, None] == numa[None, :]] = LocalityLevel.NUMA
+    np.fill_diagonal(table, LocalityLevel.SELF)
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -78,17 +100,22 @@ class NodeArchitecture:
         self._check_core(core)
         return core // self.cores_per_numa
 
+    @property
+    def level_table(self) -> np.ndarray:
+        """``LocalityLevel`` codes of every core pair (read-only int8 array).
+
+        ``level_table[a, b] == core_locality(a, b)``.  Built once per node
+        shape and shared by every architecture of that shape; it is not a
+        dataclass field, so equality, hashing and serialized payloads are
+        unaffected.
+        """
+        return _level_table(self.sockets, self.numa_per_socket, self.cores_per_numa)
+
     def core_locality(self, core_a: int, core_b: int) -> LocalityLevel:
         """Locality level between two cores of the same node."""
         self._check_core(core_a)
         self._check_core(core_b)
-        if core_a == core_b:
-            return LocalityLevel.SELF
-        if self.numa_of_core(core_a) == self.numa_of_core(core_b):
-            return LocalityLevel.NUMA
-        if self.socket_of_core(core_a) == self.socket_of_core(core_b):
-            return LocalityLevel.SOCKET
-        return LocalityLevel.NODE
+        return LEVEL_OF_CODE[self.level_table[core_a, core_b]]
 
     def cores_in_numa(self, numa: int) -> range:
         """Range of core indices belonging to node-wide NUMA domain ``numa``."""

@@ -13,16 +13,25 @@ The two primitives every algorithm's cost decomposes into are:
 A phase's duration is modelled as the maximum of the two, mirroring how the
 event simulator behaves (ranks proceed concurrently but serialize on the
 NIC), and an algorithm's duration as the sum of its phases.
+
+Every per-peer estimator resolves its peers' locality levels in one
+:meth:`~repro.machine.ProcessMap.locality_codes` call.  Integer counts come
+from ``np.bincount`` over those codes and maxima from the levels present;
+every float sum is the builtin ``sum`` over the per-peer terms in peer
+order, so each prediction is bit-identical to adding the terms up one peer
+at a time (``np.sum`` or count x term would round differently).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.machine.hierarchy import LocalityLevel
+from repro.machine.hierarchy import LEVEL_OF_CODE, LocalityLevel
 from repro.machine.params import MachineParameters
 from repro.machine.process_map import ProcessMap
 
@@ -60,6 +69,27 @@ def _per_message_time(params: MachineParameters, level: LocalityLevel, nbytes: i
     return base
 
 
+def _level_counts(codes: np.ndarray) -> tuple[list[int], list[LocalityLevel]]:
+    """Peers at each level code, and the levels that occur, closest first."""
+    counts = np.bincount(codes, minlength=len(LEVEL_OF_CODE)).tolist()
+    return counts, [level for level, count in zip(LEVEL_OF_CODE, counts) if count]
+
+
+def _level_array(
+    present: list[LocalityLevel], value: Callable[[LocalityLevel], float]
+) -> np.ndarray:
+    """``value(level)`` for each present level, indexed by level code.
+
+    ``sum(_level_array(present, term)[codes].tolist())`` is the builtin
+    ``sum`` of each peer's term in peer order: the same floats added in the
+    same order as a per-peer loop, so the result is bit-identical to it.
+    """
+    table = [0.0] * len(LEVEL_OF_CODE)
+    for level in present:
+        table[level] = value(level)
+    return np.array(table)
+
+
 def exchange_estimate(
     pmap: ProcessMap,
     me: int,
@@ -85,22 +115,24 @@ def exchange_estimate(
     npeers = len(peers)
     if npeers == 0:
         return ExchangeEstimate(0.0, 0, 0)
-    levels = [pmap.locality(me, peer) for peer in peers]
-    inter = [lvl == LocalityLevel.NETWORK for lvl in levels]
-    inter_msgs = sum(inter)
+    codes = pmap.locality_codes(me, peers)
+    counts, present = _level_counts(codes)
+    inter_msgs = counts[LocalityLevel.NETWORK]
     inter_bytes = inter_msgs * msg_bytes
     overhead = params.send_overhead + params.recv_overhead
 
     if kind == "pairwise":
-        wire = sum(_per_message_time(params, lvl, msg_bytes) for lvl in levels)
+        term = _level_array(present, lambda lvl: _per_message_time(params, lvl, msg_bytes))
+        wire = sum(term[codes].tolist())
         cpu = npeers * (overhead + params.match_overhead_per_entry)
         return ExchangeEstimate(wire + cpu, inter_msgs, inter_bytes)
 
     if kind in ("nonblocking", "batched"):
         # One exposed latency, transfers serialized at the sender's port,
         # matching cost proportional to the average posted-queue length.
-        worst_latency = max(params.latency(lvl) for lvl in levels)
-        serialized = sum(msg_bytes * params.byte_time(lvl) for lvl in levels)
+        worst_latency = max(params.latency(lvl) for lvl in present)
+        term = _level_array(present, lambda lvl: msg_bytes * params.byte_time(lvl))
+        serialized = sum(term[codes].tolist())
         rendezvous = 0.0 if params.is_eager(msg_bytes) else params.rendezvous_overhead
         matching = params.match_overhead_per_entry * npeers * (npeers + 1) / 2.0
         cpu = npeers * overhead
@@ -112,7 +144,7 @@ def exchange_estimate(
         n = npeers + 1
         steps = max(1, math.ceil(math.log2(n)))
         step_bytes = (n // 2) * msg_bytes if n > 1 else 0
-        worst = max(levels)
+        worst = present[-1]
         per_step = (
             _per_message_time(params, worst, step_bytes)
             + 2.0 * params.copy_time(step_bytes)
@@ -147,26 +179,36 @@ def exchange_estimate_v(
         raise ConfigurationError(
             f"got {len(peers)} peers but {len(peer_bytes)} byte counts"
         )
-    live = [(peer, int(nbytes)) for peer, nbytes in zip(peers, peer_bytes) if nbytes > 0]
-    if not live:
+    sizes = np.asarray(peer_bytes, dtype=np.int64)
+    live = sizes > 0
+    sizes = sizes[live]
+    npeers = len(sizes)
+    if npeers == 0:
         return ExchangeEstimate(0.0, 0, 0)
-    levels = [pmap.locality(me, peer) for peer, _ in live]
-    sizes = [nbytes for _, nbytes in live]
-    inter = [lvl == LocalityLevel.NETWORK for lvl in levels]
-    inter_msgs = sum(inter)
-    inter_bytes = sum(n for n, crossing in zip(sizes, inter) if crossing)
-    npeers = len(live)
+    codes = pmap.locality_codes(me, np.asarray(peers, dtype=np.int64)[live])
+    counts, present = _level_counts(codes)
+    inter_msgs = counts[LocalityLevel.NETWORK]
+    inter_bytes = int(sizes[codes == LocalityLevel.NETWORK].sum())
     overhead = params.send_overhead + params.recv_overhead
+    # Per-peer terms: an elementwise float64 product or sum rounds exactly
+    # like the scalar ``n * params.byte_time(lvl)`` of a per-peer loop.
+    transfer = sizes * _level_array(present, params.byte_time)[codes]
 
     if kind == "pairwise":
-        wire = sum(_per_message_time(params, lvl, n) for lvl, n in zip(levels, sizes))
+        # _per_message_time per peer: wire_time, plus the handshake above
+        # the eager limit.
+        base = _level_array(present, params.latency)[codes] + transfer
+        per_message = np.where(
+            sizes <= params.eager_limit, base, base + params.rendezvous_overhead
+        )
+        wire = sum(per_message.tolist())
         cpu = npeers * (overhead + params.match_overhead_per_entry)
         return ExchangeEstimate(wire + cpu, inter_msgs, inter_bytes)
 
     if kind in ("nonblocking", "batched"):
-        worst_latency = max(params.latency(lvl) for lvl in levels)
-        serialized = sum(n * params.byte_time(lvl) for lvl, n in zip(levels, sizes))
-        rendezvous = 0.0 if params.is_eager(max(sizes)) else params.rendezvous_overhead
+        worst_latency = max(params.latency(lvl) for lvl in present)
+        serialized = sum(transfer.tolist())
+        rendezvous = 0.0 if params.is_eager(int(sizes.max())) else params.rendezvous_overhead
         matching = params.match_overhead_per_entry * npeers * (npeers + 1) / 2.0
         cpu = npeers * overhead
         return ExchangeEstimate(
@@ -230,26 +272,29 @@ def uniform_link_bound(
     return state.uniform_phase_bound(messages_per_node * share, bytes_per_node * share)
 
 
+#: By level code: whether a peer at that level is on the node but in
+#: another NUMA domain.
+_CROSSES_NUMA = np.array(
+    [level in (LocalityLevel.SOCKET, LocalityLevel.NODE) for level in LEVEL_OF_CODE]
+)
+
+
 def cross_numa_bytes(pmap: ProcessMap, me: int, peers: Sequence[int], bytes_per_peer: int) -> int:
     """Bytes rank ``me`` sends to intra-node peers across a NUMA boundary."""
-    total = 0
-    for peer in peers:
-        level = pmap.locality(me, peer)
-        if level in (LocalityLevel.SOCKET, LocalityLevel.NODE):
-            total += bytes_per_peer
-    return total
+    crossing = int(np.count_nonzero(_CROSSES_NUMA[pmap.locality_codes(me, peers)]))
+    return crossing * bytes_per_peer
 
 
 def cross_numa_bytes_v(
     pmap: ProcessMap, me: int, peers: Sequence[int], peer_bytes: Sequence[int]
 ) -> int:
     """Bytes rank ``me`` sends to intra-node peers across a NUMA boundary (variable counts)."""
-    total = 0
-    for peer, nbytes in zip(peers, peer_bytes):
-        level = pmap.locality(me, peer)
-        if level in (LocalityLevel.SOCKET, LocalityLevel.NODE):
-            total += int(nbytes)
-    return total
+    if len(peers) != len(peer_bytes):
+        raise ConfigurationError(
+            f"got {len(peers)} peers but {len(peer_bytes)} byte counts"
+        )
+    crossing = _CROSSES_NUMA[pmap.locality_codes(me, peers)]
+    return int(np.asarray(peer_bytes, dtype=np.int64)[crossing].sum())
 
 
 def fabric_phase_bound(
@@ -279,8 +324,11 @@ def linear_rooted_cost(
     others = [m for m in members if m != root]
     if not others:
         return params.copy_time(bytes_per_member)
-    worst_latency = max(params.latency(pmap.locality(root, m)) for m in others)
-    serialized = sum(bytes_per_member * params.byte_time(pmap.locality(root, m)) for m in others)
+    codes = pmap.locality_codes(root, others)
+    _, present = _level_counts(codes)
+    worst_latency = max(params.latency(lvl) for lvl in present)
+    term = _level_array(present, lambda lvl: bytes_per_member * params.byte_time(lvl))
+    serialized = sum(term[codes].tolist())
     rendezvous = 0.0 if params.is_eager(bytes_per_member) else params.rendezvous_overhead
     cpu = len(others) * (params.send_overhead + params.recv_overhead)
     matching = params.match_overhead_per_entry * len(others)

@@ -80,11 +80,21 @@ def _max_nic_load(matrix_bytes: np.ndarray, num_nodes: int, ppn: int) -> tuple[i
     return int(node_msgs.sum(axis=1).max()), int(node_bytes.sum(axis=1).max())
 
 
+def _cross_numa_mask(pmap: ProcessMap) -> np.ndarray:
+    """``ppn x ppn`` mask of the local-rank pairs that cross a NUMA boundary.
+
+    The same rule as :func:`repro.model.loggp.cross_numa_bytes`: an on-node
+    pair crosses when its level is ``SOCKET`` or coarser (the diagonal is
+    ``SELF`` and never crosses).
+    """
+    ppn = pmap.ppn
+    return pmap.node_arch.level_table[:ppn, :ppn] >= LocalityLevel.SOCKET
+
+
 def _max_fabric_load(pmap: ProcessMap, matrix_bytes: np.ndarray) -> int:
     """Cross-NUMA intra-node bytes of the busiest node (shared-fabric traffic)."""
     ppn = pmap.ppn
-    numa = np.array([pmap.numa_of(r) for r in range(ppn)])
-    cross = numa[:, None] != numa[None, :]
+    cross = _cross_numa_mask(pmap)
     blocks = matrix_bytes.reshape(pmap.num_nodes, ppn, pmap.num_nodes, ppn)
     worst = 0
     for node in range(pmap.num_nodes):
@@ -205,20 +215,15 @@ def _intra_fabric_load(pmap: ProcessMap, bytes_matrix: np.ndarray, group: int) -
     nprocs = pmap.nprocs
     ppn = pmap.ppn
     ngroups = nprocs // group
-    groups_per_node = ppn // group
     # position_cols[k, d]: bytes every position-k source addressed to rank d.
     position_cols = bytes_matrix.reshape(ngroups, group, nprocs).sum(axis=0)
-    # numa_by_pos[k, g_local]: NUMA domain of the member at position k of the
-    # node-local group g_local (identical layout on every node).
-    numa = np.array([pmap.numa_of(r) for r in range(ppn)])
-    numa_by_pos = numa.reshape(groups_per_node, group).T
-    # crossing[k, g_local, m]: relay k -> m within group g_local spans NUMA domains.
-    crossing = numa_by_pos[:, :, None] != numa_by_pos.T[None, :, :]
-    crossing &= ~np.eye(group, dtype=bool)[:, None, :]
+    # crossing[k, d]: the position-k member of local rank d's group relays
+    # to d across a NUMA boundary (the layout is identical on every node).
+    local = np.arange(ppn)
+    relay_source = (local // group * group)[None, :] + np.arange(group)[:, None]
+    crossing = _cross_numa_mask(pmap)[relay_source, local[None, :]]
     worst = 0
     for node in range(pmap.num_nodes):
-        relayed = position_cols[:, node * ppn: (node + 1) * ppn].reshape(
-            group, groups_per_node, group
-        )
+        relayed = position_cols[:, node * ppn: (node + 1) * ppn]
         worst = max(worst, int(relayed[crossing].sum()))
     return worst

@@ -1,13 +1,18 @@
-"""Concurrency and corruption-recovery tests for the on-disk ResultStore.
+"""Concurrency and corruption-recovery tests for the on-disk stores.
 
-The store's contract under concurrent writers is *atomic visibility*: a
-reader may see the previous entry or the new one, never a torn mix — writes
-go through a temp file plus ``os.replace`` on the same filesystem.  These
-tests hammer one key from multiple processes while a reader polls, and
-exercise the corrupt-entry -> recompute -> rewrite path directly.
+The ResultStore's contract under concurrent writers is *atomic visibility*:
+a reader may see the previous entry or the new one, never a torn mix —
+writes go through a temp file plus ``os.replace`` on the same filesystem.
+These tests hammer one key from multiple processes while a reader polls,
+and exercise the corrupt-entry -> recompute -> rewrite path directly.
+
+The TraceStore's index is a read-modify-write of one file, so its contract
+is *no lost updates*: concurrent puts of different traces all end up
+indexed.
 """
 
 import multiprocessing
+import threading
 
 import pytest
 
@@ -146,3 +151,86 @@ class TestCorruptedEntryRecovery:
         assert workload.digest() not in store
         assert len(store) == 0
         assert list((tmp_path / "traces").rglob("*.tmp")) == []
+
+
+def _trace_workload(nbytes: int):
+    from repro.workloads import Phase, PhasedWorkload
+    from repro.workloads.generators import uniform
+
+    return PhasedWorkload((Phase("p0", uniform(4, nbytes)),))
+
+
+def _put_after_barrier(root: str, nbytes: int, name: str, barrier) -> None:
+    """Put one trace, pausing at the index write until the other writer arrives.
+
+    Without an index lock both writers have read the index by the time the
+    barrier releases them, so the later write drops the earlier entry.  With
+    the lock the second writer cannot reach the barrier while the first holds
+    the lock; the first times out and writes, then the second reads the
+    updated index.
+    """
+    from repro.ingest import TraceStore
+
+    write_index = TraceStore._write_index
+
+    def paused_write(self, index):
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        write_index(self, index)
+
+    TraceStore._write_index = paused_write
+    TraceStore(root).put(_trace_workload(nbytes), name=name)
+
+
+def _put_many(root: str, worker: int, count: int) -> None:
+    from repro.ingest import TraceStore
+
+    store = TraceStore(root)
+    for i in range(count):
+        store.put(_trace_workload(1000 * worker + i + 1), name=f"w{worker}-{i}")
+
+
+class TestTraceStoreIndexLock:
+    def test_two_writers_reading_the_index_together_lose_no_entry(self, tmp_path):
+        from repro.ingest import TraceStore
+
+        root = str(tmp_path / "traces")
+        TraceStore(root)
+        ctx = multiprocessing.get_context("fork")
+        barrier = ctx.Barrier(2, timeout=2.0)
+        writers = [
+            ctx.Process(target=_put_after_barrier, args=(root, nbytes, name, barrier))
+            for nbytes, name in ((8, "first"), (16, "second"))
+        ]
+        for proc in writers:
+            proc.start()
+        for proc in writers:
+            proc.join(timeout=60)
+            assert not proc.is_alive() and proc.exitcode == 0
+        store = TraceStore(root)
+        assert len(store) == 2
+        assert store.resolve("first") == _trace_workload(8).digest()
+        assert store.resolve("second") == _trace_workload(16).digest()
+
+    def test_parallel_named_puts_are_all_indexed(self, tmp_path):
+        from repro.ingest import TraceStore
+
+        root = str(tmp_path / "traces")
+        TraceStore(root)
+        workers, count = 4, 12
+        ctx = multiprocessing.get_context("fork")
+        procs = [ctx.Process(target=_put_many, args=(root, w, count)) for w in range(workers)]
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join(timeout=120)
+            assert not proc.is_alive() and proc.exitcode == 0
+        store = TraceStore(root)
+        assert len(store) == workers * count
+        for w in range(workers):
+            for i in range(count):
+                key = _trace_workload(1000 * w + i + 1).digest()
+                assert store.resolve(f"w{w}-{i}") == key
+                assert store.get(key) == _trace_workload(1000 * w + i + 1)
