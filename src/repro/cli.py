@@ -51,10 +51,11 @@ from repro.bench.reporting import (
 )
 from repro.bench.harness import BenchmarkHarness
 from repro.core.alltoall.valgorithms import list_v_algorithms
-from repro.core.runner import run_alltoall, run_workload
+from repro.core.runner import _resolve_fold, run_alltoall, run_workload
 from repro.core.selection import AlgorithmSelector, build_selection_table
 from repro.errors import ConfigurationError
 from repro.faults import parse_faults
+from repro.machine.folding import FOLD_MODES
 from repro.machine.process_map import ProcessMap
 from repro.machine.systems import SYSTEM_PRESETS, get_system, list_systems
 from repro.model.predict import WORKLOAD_MODELED_ALGORITHMS, predict_workload_time
@@ -318,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--group-size", type=int, default=None,
                      help="processes per leader/group for the hierarchical algorithms")
     run.add_argument("--inner", default=None, choices=["pairwise", "nonblocking", "bruck", "batched"])
-    run.add_argument("--fold", default="off", choices=["off", "auto", "on"],
+    run.add_argument("--fold", default="off", choices=FOLD_MODES,
                      help="symmetry folding: simulate one node's ranks standing in "
                           "for the whole machine (exact for the uniform exchange; "
                           "required for paper-scale node counts)")
@@ -381,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="node-aware: aggregation group size (default: whole node)")
     workload.add_argument("--inner", default=None, choices=["pairwise", "nonblocking"],
                           help="node-aware: inner exchange of both phases")
-    workload.add_argument("--fold", default="off", choices=["off", "auto", "on"],
+    workload.add_argument("--fold", default="off", choices=FOLD_MODES,
                           help="symmetry folding: 'auto' folds when the traffic "
                                "matrix is node-rotation symmetric, 'on' demands it, "
                                "'off' (default) simulates every rank")
@@ -737,9 +738,13 @@ def _cmd_workload(args: argparse.Namespace) -> int:
         # so the validation and traffic report of the direct path are
         # unavailable here.
         try:
+            # The executor would report a refused fold as a failed point;
+            # refuse it here, with the direct path's message.
+            _resolve_fold(pmap, args.fold, faults, matrix)
             harness = BenchmarkHarness(cluster, args.ppn, engine="simulate",
                                        executor=executor, faults=faults)
-            point = harness.workload_point(args.algorithm, matrix, args.nodes, **options)
+            point = harness.workload_point(args.algorithm, matrix, args.nodes,
+                                           fold=args.fold, **options)
         finally:
             _finish_executor(executor)
         print(f"Simulated {args.algorithm}: {point.seconds:.3e} s  "

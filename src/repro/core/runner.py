@@ -34,7 +34,7 @@ from repro.core.validation import (
     validate_workload_results,
 )
 from repro.errors import ConfigurationError
-from repro.machine.folding import uniform_certificate
+from repro.machine.folding import FOLD_MODES, uniform_certificate
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.process_map import ProcessMap
 from repro.netsim.fabric import DragonflyFabric
@@ -59,56 +59,43 @@ __all__ = [
     "FOLD_MODES",
 ]
 
-#: Accepted values of the ``fold`` parameter / ``--fold`` CLI option.
-FOLD_MODES = ("off", "auto", "on")
 
+def _resolve_fold(pmap: ProcessMap, fold: str, faults=None,
+                  matrix: TrafficMatrix | None = None) -> ProcessMap:
+    """Process map to simulate with under ``fold`` mode: the one fold guard.
 
-def _check_fold_mode(fold: str) -> str:
+    Uniform traffic (``matrix`` is ``None``) is invariant under every rank
+    rotation, so ``auto`` and ``on`` both fold it; a workload folds only
+    when the symmetry analyzer certifies its matrix, and ``on`` refuses one
+    it cannot.  A dragonfly is outside the folding equivalence envelope
+    (see :mod:`repro.verify.folding`): a folded run there can be wrong by
+    multiples, so ``auto`` falls back to the full simulation and ``on``
+    refuses.  Faults break the node-rotation symmetry the fold relies on,
+    so any fold mode but ``off`` refuses them.  Already-folded maps are
+    returned as they are.
+    """
+    if faults and fold != "off":
+        raise ConfigurationError(
+            "fault injection is incompatible with symmetry folding "
+            f"(fold={fold!r}): faults break the node-rotation symmetry the "
+            "fold relies on; run with fold='off'"
+        )
     if fold not in FOLD_MODES:
         raise ConfigurationError(
             f"fold must be one of {', '.join(FOLD_MODES)}; got {fold!r}"
         )
-    return fold
-
-
-def _fabric_certified(pmap: ProcessMap, fold: str) -> bool:
-    """Whether the fold gate certifies folding on ``pmap``'s fabric.
-
-    A dragonfly is outside the folding equivalence envelope (see
-    :mod:`repro.verify.folding`): a folded run there can be wrong by
-    multiples, so ``auto`` falls back to the full simulation and ``on``
-    refuses.
-    """
-    if not isinstance(pmap.cluster.fabric, DragonflyFabric):
-        return True
-    if fold == "on":
-        raise ConfigurationError(
-            "fold requested on a dragonfly fabric, which is outside the folding "
-            "equivalence envelope (convoying is not reproduced); run with "
-            "fold='off' or 'auto'"
-        )
-    return False
-
-
-def _resolve_uniform_fold(pmap: ProcessMap, fold: str) -> ProcessMap:
-    """Process map to simulate a *uniform* exchange with under ``fold`` mode.
-
-    Uniform traffic is invariant under every rank rotation, so ``auto`` and
-    ``on`` both fold on a certified fabric (unless the map already is, or
-    folding is a no-op on a single node in which case it still works but
-    saves nothing).
-    """
-    _check_fold_mode(fold)
-    if fold == "off" or pmap.is_folded or not _fabric_certified(pmap, fold):
+    if fold == "off" or pmap.is_folded:
         return pmap
-    return pmap.folded(uniform_certificate(pmap.nprocs, pmap.ppn))
-
-
-def _resolve_workload_fold(pmap: ProcessMap, fold: str, matrix: TrafficMatrix) -> ProcessMap:
-    """Process map for a workload: fold only when the analyzer certifies it."""
-    _check_fold_mode(fold)
-    if fold == "off" or pmap.is_folded or not _fabric_certified(pmap, fold):
+    if isinstance(pmap.cluster.fabric, DragonflyFabric):
+        if fold == "on":
+            raise ConfigurationError(
+                "fold requested on a dragonfly fabric, which is outside the folding "
+                "equivalence envelope (convoying is not reproduced); run with "
+                "fold='off' or 'auto'"
+            )
         return pmap
+    if matrix is None:
+        return pmap.folded(uniform_certificate(pmap.nprocs, pmap.ppn))
     from repro.workloads.symmetry import analyze_symmetry
 
     report = analyze_symmetry(matrix, pmap.ppn)
@@ -247,14 +234,6 @@ def run_alltoall(
     """
     if msg_bytes <= 0:
         raise ConfigurationError(f"msg_bytes must be positive, got {msg_bytes}")
-    if faults is not None and not faults:
-        faults = None
-    if faults is not None and fold != "off":
-        raise ConfigurationError(
-            "fault injection is incompatible with symmetry folding "
-            f"(fold={fold!r}): faults break the node-rotation symmetry the "
-            "fold relies on; run with fold='off'"
-        )
     itemsize = np.dtype(dtype).itemsize
     if msg_bytes % itemsize != 0:
         raise ConfigurationError(
@@ -265,7 +244,7 @@ def run_alltoall(
     algo = get_algorithm(algorithm, **algorithm_options) if isinstance(algorithm, str) else algorithm
     if algorithm_options and not isinstance(algorithm, str):
         raise ConfigurationError("algorithm options can only be given together with an algorithm name")
-    pmap = _resolve_uniform_fold(pmap, fold)
+    pmap = _resolve_fold(pmap, fold, faults)
     algo.validate(pmap)
 
     job = run_spmd(pmap, alltoall_program, algo, block_items, np.dtype(dtype),
@@ -596,8 +575,6 @@ def run_phased(
             "sequences and multi-job placements break the node-rotation "
             "symmetry the fold relies on"
         )
-    if faults is not None and not faults:
-        faults = None
     total_nodes = sum(job.num_nodes for job in jobs)
     if total_nodes != pmap.num_nodes:
         raise ConfigurationError(
@@ -767,14 +744,6 @@ def run_workload(
     """
     if isinstance(matrix, np.ndarray):
         matrix = TrafficMatrix(matrix)
-    if faults is not None and not faults:
-        faults = None
-    if faults is not None and fold != "off":
-        raise ConfigurationError(
-            "fault injection is incompatible with symmetry folding "
-            f"(fold={fold!r}): faults break the node-rotation symmetry the "
-            "fold relies on; run with fold='off'"
-        )
     if matrix.nprocs != pmap.nprocs:
         raise ConfigurationError(
             f"traffic matrix describes {matrix.nprocs} ranks but the process map "
@@ -790,7 +759,7 @@ def run_workload(
             raise ConfigurationError(
                 "algorithm options can only be given together with an algorithm name"
             )
-    pmap = _resolve_workload_fold(pmap, fold, matrix)
+    pmap = _resolve_fold(pmap, fold, faults, matrix)
     algo.validate(pmap, counts)
 
     job = run_spmd(pmap, workload_program, algo, counts, np.dtype(dtype),

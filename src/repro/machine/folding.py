@@ -33,7 +33,18 @@ from dataclasses import dataclass
 from repro.errors import TopologyError
 from repro.machine.process_map import ProcessMap
 
-__all__ = ["FoldCertificate", "FoldedProcessMap", "fold_process_map", "uniform_certificate"]
+__all__ = [
+    "FOLD_MODES",
+    "FoldCertificate",
+    "FoldedProcessMap",
+    "fold_process_map",
+    "uniform_certificate",
+]
+
+#: Accepted values of the ``fold`` parameter / ``--fold`` CLI option:
+#: ``off`` simulates every rank, ``auto`` folds when the traffic and fabric
+#: allow it, ``on`` demands a fold.
+FOLD_MODES = ("off", "auto", "on")
 
 
 @dataclass(frozen=True)

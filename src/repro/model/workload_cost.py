@@ -74,12 +74,6 @@ def _node_pair_loads(matrix_bytes: np.ndarray, num_nodes: int, ppn: int) -> tupl
     return node_msgs, node_bytes
 
 
-def _max_nic_load(matrix_bytes: np.ndarray, num_nodes: int, ppn: int) -> tuple[int, int]:
-    """(messages, bytes) of the busiest node's NIC injection for a rank-level matrix."""
-    node_msgs, node_bytes = _node_pair_loads(matrix_bytes, num_nodes, ppn)
-    return int(node_msgs.sum(axis=1).max()), int(node_bytes.sum(axis=1).max())
-
-
 def _cross_numa_mask(pmap: ProcessMap) -> np.ndarray:
     """``ppn x ppn`` mask of the local-rank pairs that cross a NUMA boundary.
 

@@ -23,6 +23,7 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 from repro.machine.cluster import Cluster
+from repro.machine.folding import FOLD_MODES
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.params import LevelCosts, MachineParameters
 from repro.machine.topology import NodeArchitecture
@@ -35,8 +36,6 @@ __all__ = ["PointSpec", "cluster_payload", "cluster_from_payload"]
 SPEC_VERSION = 1
 
 _ENGINES = ("simulate", "model")
-
-_FOLD_MODES = ("off", "auto", "on")
 
 
 def _params_payload(params: MachineParameters) -> dict:
@@ -130,9 +129,9 @@ class PointSpec:
     def __post_init__(self) -> None:
         if self.engine not in _ENGINES:
             raise ConfigurationError(f"unknown engine {self.engine!r}; choose from {_ENGINES}")
-        if self.fold not in _FOLD_MODES:
+        if self.fold not in FOLD_MODES:
             raise ConfigurationError(
-                f"unknown fold mode {self.fold!r}; choose from {_FOLD_MODES}"
+                f"unknown fold mode {self.fold!r}; choose from {FOLD_MODES}"
             )
         if self.phases is not None:
             if self.msg_bytes is not None or self.trace is not None:

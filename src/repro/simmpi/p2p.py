@@ -49,6 +49,13 @@ position of an entry is the prefix count of live sequence numbers up to
 its own, an O(log q) order-statistics query that is equal, entry for
 entry, to what the removed linear scan counted.
 
+Folded jobs
+-----------
+A symmetry-folded job (:mod:`repro.machine.folding`) schedules only node
+0's ranks and uses the same send path: :meth:`MessageRouter.post_send`
+times a send to a *phantom* rank (off node 0) as the original pair and
+delivers it as its mirror on node 0.
+
 Payload copies
 --------------
 ``post_send`` used to snapshot the payload eagerly and copy it a second
@@ -625,15 +632,35 @@ class MessageRouter:
         context_id: int,
         ready_time: float,
     ) -> Request:
-        """Post a send whose data is ready at simulated ``ready_time``."""
-        if self._fold is not None and dst >= self._sim_nprocs:
-            return self._post_send_folded(src, dst, payload, tag, context_id, ready_time)
+        """Post a send whose data is ready at simulated ``ready_time``.
+
+        Timing uses the original ``src -> dst`` pair: NIC injection, fabric
+        traversal, the rendezvous control latency and the ``send_posted``
+        event.  Delivery uses the *delivery pair*: the mailbox, every
+        matching key, the receive's ``Status``, the in-flight record and the
+        ``matched``/``parked`` events.  The delivery pair is ``(src, dst)``
+        unless the job is folded and ``dst`` is a phantom rank; then it is
+        the send's mirror
+        (:meth:`repro.machine.folding.FoldedProcessMap.mirror_inbound`).
+        Under node-rotation symmetry the mirror is the message a folded-out
+        peer would have sent into node 0 at the same simulated times, so
+        node 0's inbound stream — matching order, queue depths, scanned
+        counts — is that of the full run.
+        """
         request = Request("send", src)
         nbytes = payload.nbytes
         timing = self.timing
-        level = self._level_of((src, dst))
-        if level is None:
-            level = timing.pmap.locality(src, dst)
+        fold = self._fold
+        if fold is not None and dst >= self._sim_nprocs:
+            # Phantom destinations are on other nodes by construction.
+            level = LocalityLevel.NETWORK
+            to_src, to_dst = fold.mirror_inbound(src, dst)
+        else:
+            level = self._level_of((src, dst))
+            if level is None:
+                level = timing.pmap.locality(src, dst)
+            to_src = src
+            to_dst = dst
         # Inlined ThroughputTracker.record (one call per simulated message);
         # the per-level counts are mutable pairs here so the steady state is
         # two in-place increments, consumers normalise with tuple().
@@ -650,8 +677,8 @@ class MessageRouter:
         if sink is not None:
             sink.send_posted(src, dst, nbytes, tag, ready_time)
 
-        mailbox = self._mailboxes[dst]
-        key = (context_id, src, tag)
+        mailbox = self._mailboxes[to_dst]
+        key = (context_id, to_src, tag)
         if nbytes <= self._eager_limit:
             if level is LocalityLevel.NETWORK:
                 # Inlined TimingModel.transfer network path (the vast
@@ -692,7 +719,7 @@ class MessageRouter:
                 seq = posted.first_for_keys((
                     key,
                     (context_id, ANY_SOURCE, tag),
-                    (context_id, src, ANY_TAG),
+                    (context_id, to_src, ANY_TAG),
                     (context_id, ANY_SOURCE, ANY_TAG),
                 ))
                 found = None if seq is None else posted.take(seq)
@@ -723,7 +750,7 @@ class MessageRouter:
                     _copy_payload(buffer, payload)
                 recv_request = recv.request
                 recv_request.completion_time = completion
-                recv_request.status = Status(src, tag, nbytes)
+                recv_request.status = Status(to_src, tag, nbytes)
                 waiter = recv_request.waiter
                 if waiter is not None:
                     recv_request.waiter = None
@@ -734,14 +761,14 @@ class MessageRouter:
                     for callback in callbacks:
                         callback(recv_request)
                 if sink is not None:
-                    sink.matched(src, dst, nbytes, tag, True, arrival, completion)
+                    sink.matched(to_src, to_dst, nbytes, tag, True, arrival, completion)
                 return request
             # The message has to wait for a future receive; snapshot the
             # payload so the sender may reuse its buffer (buffered-send
             # semantics).
             unexpected = mailbox.unexpected
             unexpected.append(key, _InboundSend(
-                request, src, dst, tag, context_id, nbytes,
+                request, to_src, to_dst, tag, context_id, nbytes,
                 np.array(payload.reshape(-1), copy=True),
                 "eager", arrival, ready_time, level,
             ))
@@ -750,17 +777,19 @@ class MessageRouter:
             if depth > self.max_unexpected_depth:
                 self.max_unexpected_depth = depth
             if sink is not None:
-                sink.parked(src, dst, nbytes, tag, arrival, depth)
+                sink.parked(to_src, to_dst, nbytes, tag, arrival, depth)
             return request
 
         # Rendezvous: the data transfer is priced at match time, so the
-        # in-flight record is built either way.
+        # in-flight record is built either way.  A mirrored record is priced
+        # on its original pair there (see _complete_match), so node 0's NIC
+        # sees exactly the reservations of the full run.
         rts_arrival = ready_time + self._half_rendezvous + timing.control_latency(level)
         inbound = _InboundSend(
-            request, src, dst, tag, context_id, nbytes, payload,
+            request, to_src, to_dst, tag, context_id, nbytes, payload,
             "rndv", rts_arrival, ready_time, level,
         )
-        found = self._match_posted(mailbox, key, context_id, src, tag)
+        found = self._match_posted(mailbox, key, context_id, to_src, tag)
         if found is not None:
             recv = found[0]
             self._complete_match(inbound, recv.request, recv.buffer,
@@ -774,165 +803,7 @@ class MessageRouter:
         if depth > self.max_unexpected_depth:
             self.max_unexpected_depth = depth
         if sink is not None:
-            sink.parked(src, dst, nbytes, tag, rts_arrival, depth)
-        return request
-
-    def _post_send_folded(
-        self,
-        src: int,
-        dst: int,
-        payload: np.ndarray,
-        tag: int,
-        context_id: int,
-        ready_time: float,
-    ) -> Request:
-        """Post a representative's send to a *phantom* destination.
-
-        Folded jobs simulate only node 0; ``dst`` lives on a folded-out
-        node.  The send is **timed** as the original ``src -> dst`` message
-        — node 0's NIC injection, fabric traversal, network latency — so the
-        sender-side costs are exactly those of the full run.  It is
-        **delivered** as its mirror: the unique node-rotation of the pair
-        that lands the destination back on node 0
-        (:meth:`repro.machine.folding.FoldedProcessMap.mirror_inbound`).
-        Under node-rotation symmetry the mirror is precisely the message the
-        folded-out peer would have sent into node 0 at the same simulated
-        times, which keeps node 0's inbound stream — matching order, queue
-        depths, scanned counts — identical to the full run.
-
-        The arithmetic below intentionally replays the eager network path of
-        :meth:`post_send` float-for-float; only the delivery coordinates
-        (mailbox, matching key, status source) use the mirror.
-        """
-        fold = self._fold
-        request = Request("send", src)
-        nbytes = payload.nbytes
-        # Phantom destinations are on other nodes by construction.
-        level = LocalityLevel.NETWORK
-        traffic = self.traffic
-        traffic.messages += 1
-        traffic.total_bytes += nbytes
-        counts = traffic.per_key.get(level)
-        if counts is None:
-            traffic.per_key[level] = [1, nbytes]
-        else:
-            counts[0] += 1
-            counts[1] += nbytes
-        sink = self.sink
-        if sink is not None:
-            sink.send_posted(src, dst, nbytes, tag, ready_time)
-
-        mirror_src, mirror_dst = fold.mirror_inbound(src, dst)
-        mailbox = self._mailboxes[mirror_dst]
-        key = (context_id, mirror_src, tag)
-        if nbytes <= self._eager_limit:
-            occupancy = self._nic_message_overhead + nbytes / self._injection_bandwidth
-            nic_scale = self._nic_scale
-            if nic_scale is not None:
-                occupancy *= nic_scale[self._node_of[src]]
-            nic = self._nics[self._node_of[src]]
-            available = nic.available_at
-            start = ready_time if ready_time >= available else available
-            sender_done = start + occupancy
-            nic.available_at = sender_done
-            nic.busy_time += occupancy
-            nic.reservations += 1
-            if sink is not None:
-                sink.nic(self._node_of[src], ready_time, start, sender_done, nbytes)
-            fabric = self._fabric
-            if fabric is None:
-                arrival = sender_done + self._net_latency + nbytes * self._net_byte_time
-            else:
-                exit_time = fabric.traverse(
-                    self._node_of[src], self._node_of[dst], nbytes, sender_done
-                )
-                arrival = exit_time + self._net_latency + nbytes * self._net_byte_time
-            request.completion_time = sender_done
-
-            posted = mailbox.posted
-            if not posted._live:
-                found = None
-            elif mailbox.wildcards_posted:
-                seq = posted.first_for_keys((
-                    key,
-                    (context_id, ANY_SOURCE, tag),
-                    (context_id, mirror_src, ANY_TAG),
-                    (context_id, ANY_SOURCE, ANY_TAG),
-                ))
-                found = None if seq is None else posted.take(seq)
-            else:
-                found = posted.take_for_key(key)
-            if found is not None:
-                recv = found[0]
-                scanned = found[1]
-                self.matches += 1
-                self.fast_path_matches += 1
-                self.entries_scanned += scanned
-                post_time = recv.post_time
-                later = arrival if arrival >= post_time else post_time  # max()
-                completion = later + scanned * self._match_overhead + self._recv_overhead
-                buffer = recv.buffer
-                if buffer.dtype is payload.dtype and buffer.ndim == 1 \
-                        and payload.ndim == 1 and buffer.nbytes >= nbytes:
-                    n = payload.shape[0]
-                    if n:
-                        buffer[:n] = payload
-                else:
-                    _copy_payload(buffer, payload)
-                recv_request = recv.request
-                recv_request.completion_time = completion
-                recv_request.status = Status(mirror_src, tag, nbytes)
-                waiter = recv_request.waiter
-                if waiter is not None:
-                    recv_request.waiter = None
-                    waiter.notify()
-                callbacks = recv_request._callbacks
-                if callbacks is not None:
-                    recv_request._callbacks = None
-                    for callback in callbacks:
-                        callback(recv_request)
-                if sink is not None:
-                    sink.matched(mirror_src, mirror_dst, nbytes, tag, True,
-                                 arrival, completion)
-                return request
-            unexpected = mailbox.unexpected
-            unexpected.append(key, _InboundSend(
-                request, mirror_src, mirror_dst, tag, context_id, nbytes,
-                np.array(payload.reshape(-1), copy=True),
-                "eager", arrival, ready_time, level,
-            ))
-            self.unexpected_parked += 1
-            depth = len(unexpected._live)
-            if depth > self.max_unexpected_depth:
-                self.max_unexpected_depth = depth
-            if sink is not None:
-                sink.parked(mirror_src, mirror_dst, nbytes, tag, arrival, depth)
-            return request
-
-        # Rendezvous: parked/matched under the mirror identity; the data
-        # transfer is priced at match time on the original pair (see
-        # _complete_match), so node 0's NIC sees exactly the reservations of
-        # the full run.
-        rts_arrival = ready_time + self._half_rendezvous + self._net_latency
-        inbound = _InboundSend(
-            request, mirror_src, mirror_dst, tag, context_id, nbytes, payload,
-            "rndv", rts_arrival, ready_time, level,
-        )
-        found = self._match_posted(mailbox, key, context_id, mirror_src, tag)
-        if found is not None:
-            recv = found[0]
-            self._complete_match(inbound, recv.request, recv.buffer,
-                                 recv.post_time, found[1], fast_path=True)
-            return request
-        inbound.payload = np.array(payload.reshape(-1), copy=True)
-        unexpected = mailbox.unexpected
-        unexpected.append(key, inbound)
-        self.unexpected_parked += 1
-        depth = len(unexpected._live)
-        if depth > self.max_unexpected_depth:
-            self.max_unexpected_depth = depth
-        if sink is not None:
-            sink.parked(mirror_src, mirror_dst, nbytes, tag, rts_arrival, depth)
+            sink.parked(to_src, to_dst, nbytes, tag, rts_arrival, depth)
         return request
 
     def _match_posted(self, mailbox: _Mailbox, key: tuple, context_id: int,
@@ -1089,6 +960,3 @@ class MessageRouter:
             if shown > max_per_rank:
                 lines.append(f"rank {rank}: ... and {shown - max_per_rank} more queue entries")
         return lines
-
-    def has_pending(self) -> bool:
-        return any(m.posted or m.unexpected for m in self._mailboxes)

@@ -7,7 +7,8 @@ Every message the router delivers is counted twice: once in the router's
 timing fixture with a sink attached and checks that the two agree message
 for message and byte for byte at every locality level, that each message's
 timestamps are causally ordered, and that a repeat run in the same process
-reproduces the whole event stream exactly.
+reproduces the whole event stream exactly.  A symmetry-folded run must
+deliver, event for event, what node 0 of the full run receives.
 """
 
 import importlib.util
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.alltoall.registry import ALGORITHM_NAMES
 from repro.core.runner import run_alltoall, run_workload
 from repro.machine.hierarchy import LocalityLevel
 from repro.machine.process_map import ProcessMap
@@ -105,3 +107,22 @@ def test_repeat_run_reproduces_the_event_stream(key):
     assert second.job.finish_times == first.job.finish_times
     assert second.job.events_processed == first.job.events_processed
     assert second.job.metrics == first.job.metrics
+
+
+@pytest.mark.parametrize("msg_bytes", [64, 16384], ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+def test_folded_delivery_matches_node_zero_of_the_full_run(algorithm, msg_bytes):
+    """Folded sends are delivered as their mirrors: the folded run's match and
+    park events are exactly the full run's events into node 0's ranks."""
+    ppn = 4
+    pmap = ProcessMap(get_system("dane", 4), ppn=ppn, num_nodes=4)
+    assert 64 <= pmap.params.eager_limit < 16384  # one size per protocol
+    full_sink, folded_sink = RecordingSink(), RecordingSink()
+    run_alltoall(algorithm, pmap, msg_bytes, validate=False, sink=full_sink)
+    folded = run_alltoall(algorithm, pmap, msg_bytes, validate=False, sink=folded_sink,
+                          fold="on")
+    assert folded.fold is not None
+    for kind in ("match", "park"):
+        node_zero = Counter(e for e in full_sink.of_kind(kind) if e[2] < ppn)
+        assert Counter(folded_sink.of_kind(kind)) == node_zero, kind
+    assert folded_sink.of_kind("match")

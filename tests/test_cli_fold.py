@@ -1,5 +1,7 @@
 """CLI surface of the folding refactor: --fold, --nodes paper, validation."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -96,6 +98,33 @@ class TestWorkloadFold:
         out = capsys.readouterr().out
         assert "Folded:" not in out
         assert "validated against the reference transposition" in out
+
+
+class TestCachedWorkloadFold:
+    """``workload --cache-dir`` honours ``--fold`` like the direct path."""
+
+    def test_cached_uniform_folds_and_stores_the_mode(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        assert main(["workload", "--system", "tiny", "--pattern", "uniform",
+                     "--algorithm", "pairwise", "--nodes", "4", "--ppn", "4",
+                     "--msg-bytes", "64", "--fold", "on", "--no-model",
+                     "--cache-dir", str(cache)]) == 0
+        entries = list(cache.glob("??/*.json"))
+        assert len(entries) == 1
+        assert json.loads(entries[0].read_text())["spec"]["fold"] == "on"
+
+    def test_cached_fold_on_asymmetric_pattern_exits_like_direct_path(self, tmp_path):
+        argv = ["workload", "--system", "tiny", "--pattern", "skewed-moe",
+                "--algorithm", "pairwise", "--nodes", "4", "--ppn", "4",
+                "--msg-bytes", "64", "--fold", "on", "--no-model"]
+        with pytest.raises(SystemExit) as direct:
+            main(argv)
+        cache = tmp_path / "cache"
+        with pytest.raises(SystemExit) as cached:
+            main([*argv, "--cache-dir", str(cache)])
+        assert "fold requested but the traffic is not foldable" in str(direct.value.code)
+        assert cached.value.code == direct.value.code
+        assert not list(cache.glob("??/*.json"))
 
 
 class TestVerifyFoldGate:

@@ -13,7 +13,10 @@ import pytest
 from repro.core.runner import run_alltoall, run_workload
 from repro.errors import ConfigurationError
 from repro.machine import ProcessMap, tiny_cluster
+from repro.machine.folding import fold_process_map
 from repro.netsim.fabric import FatTreeFabric, parse_fabric
+from repro.simmpi.datatypes import ANY_SOURCE, ANY_TAG
+from repro.simmpi.engine import run_spmd
 from repro.verify.folding import (
     FABRIC_REL_TOL,
     compare_alltoall_fold,
@@ -152,6 +155,51 @@ def test_folded_contents_validate_against_closed_form(pmap):
     for rank, got in enumerate(outcome.job.results):
         expected = expected_folded_alltoall_result(rank, 16, 4, 8, dtype=np.int64)
         assert np.array_equal(got, expected)
+
+
+#: Receive kinds of the wildcard program: the ``(source, tag)`` a rank posts
+#: for the message from ``src``, which is sent with tag ``distance``.
+_WILDCARD_RECEIVES = {
+    "any-source": lambda src, distance: (ANY_SOURCE, distance),
+    "any-tag": lambda src, distance: (src, ANY_TAG),
+    "both": lambda src, distance: (ANY_SOURCE, ANY_TAG),
+}
+
+
+def _wildcard_program(ctx, kind, msg_bytes):
+    """Post ``n - 1`` wildcard receives, then send to every peer.
+
+    The tag of each message is its rotation-invariant rank distance, so the
+    traffic stays foldable while every status says which peer it came from.
+    """
+    comm, n, rank = ctx.world, ctx.nprocs, ctx.rank
+    receive = _WILDCARD_RECEIVES[kind]
+    recvs = []
+    for distance in range(1, n):
+        source, tag = receive((rank - distance) % n, distance)
+        buf = np.zeros(msg_bytes, dtype=np.uint8)
+        recvs.append((yield from comm.irecv(buf, source=source, tag=tag)))
+    payload = np.full(msg_bytes, rank % 251, dtype=np.uint8)
+    sends = []
+    for distance in range(1, n):
+        sends.append((yield from comm.isend(payload, (rank + distance) % n, tag=distance)))
+    statuses = yield from comm.waitall(recvs + sends)
+    ctx.result = [(s.source, s.tag, s.nbytes) for s in statuses[: n - 1]]
+
+
+@pytest.mark.parametrize("msg_bytes", [64, 16384], ids=["eager", "rendezvous"])
+@pytest.mark.parametrize("kind", sorted(_WILDCARD_RECEIVES))
+def test_folded_wildcard_receives_match_full_run(pmap, kind, msg_bytes):
+    """Wildcard receives on representatives see the mirrors' identities:
+    the same statuses and finish times as node 0 of the full run."""
+    assert 64 <= pmap.params.eager_limit < 16384  # one size per protocol
+    full = run_spmd(pmap, _wildcard_program, kind, msg_bytes)
+    folded = run_spmd(fold_process_map(pmap), _wildcard_program, kind, msg_bytes)
+    ppn = pmap.ppn
+    assert folded.fold is not None
+    assert folded.results == full.results[:ppn]
+    assert folded.finish_times == full.finish_times[:ppn]
+    assert any(src >= ppn for src, _, _ in folded.results[0])
 
 
 def test_paper_scale_headroom_smoke():
