@@ -7,6 +7,13 @@ here compute the expected buffers for the deterministic test pattern of
 :func:`repro.utils.buffers.make_alltoall_sendbuf` and check whole-job
 results, so the runner can validate every simulated exchange it performs.
 
+The uniform references (plain and folded) are built by one helper: given a
+source tag and a destination tag per block, it forms every item as one
+int64 outer sum ``(src_tag * nprocs + dest_tag) * 1000 + ramp`` and casts
+the grid once into the buffer dtype — the int64-then-wrap convention of the
+send buffers, with no Python loop over sources.  A folded representative's
+reference is therefore one NumPy pass even at paper scale (172,032 ranks).
+
 The ``workload`` variants generalise all of this to non-uniform exchanges
 driven by a per-pair count matrix (``alltoallv`` semantics): block sizes
 vary per (source, destination) pair, but the deterministic tagging scheme —
@@ -38,23 +45,33 @@ __all__ = [
 ]
 
 
-def expected_alltoall_result(rank: int, nprocs: int, block_items: int, dtype=np.int64) -> np.ndarray:
-    """Expected receive buffer of ``rank`` when every rank sent the test pattern.
+def _tagged_blocks(src_tags, dest_tags, nprocs: int, block_items: int, dtype) -> np.ndarray:
+    """Blocks of the test pattern, one per ``(src_tags[i], dest_tags[i])`` pair.
 
-    Equivalent to (but much faster than) building every rank's send buffer
-    with :func:`make_alltoall_sendbuf` and extracting block ``rank`` of each.
+    ``src_tags`` is an int64 array with one entry per block; ``dest_tags`` is
+    a matching array or one scalar for every block.  Item ``j`` of block
+    ``i`` is ``(src_tags[i] * nprocs + dest_tags[i]) * 1000 + j``, formed as
+    one int64 outer sum and cast once into ``dtype`` (the int64-then-wrap
+    convention of :func:`make_alltoall_sendbuf`, so small integer dtypes
+    hold the wrapped pattern).
     """
     if block_items < 0:
         raise BufferSizeError("block_items must be non-negative")
-    out = np.empty(nprocs * block_items, dtype=dtype)
-    view = out.reshape(nprocs, block_items) if block_items else out.reshape(nprocs, 0)
+    bases = (src_tags * nprocs + dest_tags) * 1000
     ramp = np.arange(block_items, dtype=np.int64)
-    for src in range(nprocs):
-        base = src * nprocs + rank
-        if block_items:
-            # Same int64-then-wrap convention as make_alltoall_sendbuf.
-            view[src, :] = (base * 1000 + ramp).astype(dtype)
-    return out
+    return (bases[:, None] + ramp[None, :]).astype(dtype).reshape(-1)
+
+
+def expected_alltoall_result(rank: int, nprocs: int, block_items: int, dtype=np.int64) -> np.ndarray:
+    """Expected receive buffer of ``rank`` when every rank sent the test pattern.
+
+    Block ``s`` is block ``rank`` of source ``s``'s send buffer, so it is
+    tagged ``(s, rank)``.  All ``nprocs`` blocks are built as one outer sum
+    (see :func:`_tagged_blocks`) — the same bytes as building every rank's
+    buffer with :func:`make_alltoall_sendbuf` and extracting block ``rank``
+    of each.
+    """
+    return _tagged_blocks(np.arange(nprocs, dtype=np.int64), rank, nprocs, block_items, dtype)
 
 
 def alltoall_reference(sendbufs: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -77,6 +94,26 @@ def alltoall_reference(sendbufs: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [np.ascontiguousarray(stacked[:, d]).reshape(-1) for d in range(nprocs)]
 
 
+def _check_folded_rank(rank: int, nprocs: int, ppn: int) -> None:
+    """Enforce the folded references' input contract.
+
+    ``ppn`` must be at least 1 and divide ``nprocs``, and ``rank`` must be a
+    representative, i.e. a local index in ``[0, ppn)``.  Without the check,
+    ``ppn = 0`` would build a silently wrong reference (NumPy's ``// 0``
+    only warns).
+    """
+    if ppn < 1:
+        raise BufferSizeError(f"folded reference needs ppn >= 1, got {ppn}")
+    if nprocs % ppn != 0:
+        raise BufferSizeError(
+            f"folded reference needs ppn dividing nprocs, got {nprocs} ranks at ppn {ppn}"
+        )
+    if not 0 <= rank < ppn:
+        raise BufferSizeError(
+            f"folded representative must be a local rank in [0, {ppn}), got {rank}"
+        )
+
+
 def expected_folded_alltoall_result(
     rank: int, nprocs: int, ppn: int, block_items: int, dtype=np.int64
 ) -> np.ndarray:
@@ -94,19 +131,16 @@ def expected_folded_alltoall_result(
     checks it across the registry).  Validating against this reference is
     therefore exact for folded jobs, complementing the unfolded content
     check of :func:`expected_alltoall_result`.
+
+    Both tags are computed for all ``nprocs`` sources at once and the blocks
+    built as one outer sum (see :func:`_tagged_blocks`).  ``ppn`` must be at
+    least 1 and divide ``nprocs``, and ``rank`` must be a representative in
+    ``[0, ppn)``; anything else raises :class:`BufferSizeError`.
     """
-    if block_items < 0:
-        raise BufferSizeError("block_items must be non-negative")
-    out = np.empty(nprocs * block_items, dtype=dtype)
-    view = out.reshape(nprocs, block_items) if block_items else out.reshape(nprocs, 0)
-    ramp = np.arange(block_items, dtype=np.int64)
-    for src in range(nprocs):
-        shifted_dest = (rank - (src // ppn) * ppn) % nprocs
-        base = (src % ppn) * nprocs + shifted_dest
-        if block_items:
-            # Same int64-then-wrap convention as make_alltoall_sendbuf.
-            view[src, :] = (base * 1000 + ramp).astype(dtype)
-    return out
+    _check_folded_rank(rank, nprocs, ppn)
+    src = np.arange(nprocs, dtype=np.int64)
+    shifted_dest = (rank - (src // ppn) * ppn) % nprocs
+    return _tagged_blocks(src % ppn, shifted_dest, nprocs, block_items, dtype)
 
 
 def validate_folded_alltoall_results(
@@ -187,10 +221,13 @@ def expected_folded_workload_result(rank: int, counts, ppn: int, dtype=np.int64)
     ``s`` carries ``counts[s, rank]`` items tagged with source ``s % ppn``
     and the node-rotated destination.  Only meaningful for count matrices
     that passed the symmetry analyzer (rotation-invariant), which is the
-    precondition for folding a workload at all.
+    precondition for folding a workload at all.  Raises
+    :class:`BufferSizeError` unless ``ppn`` is at least 1 and divides the
+    matrix's rank count and ``rank`` is a representative in ``[0, ppn)``.
     """
     arr = check_counts_matrix(counts)
     nprocs = arr.shape[0]
+    _check_folded_rank(rank, nprocs, ppn)
     col = arr[:, rank]
     out = np.empty(int(col.sum()), dtype=dtype)
     pos = 0

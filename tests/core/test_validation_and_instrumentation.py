@@ -7,7 +7,13 @@ from repro.core.instrumentation import PHASE_GATHER, PHASE_INTER, PhaseRecorder
 from repro.core.validation import (
     alltoall_reference,
     expected_alltoall_result,
+    expected_folded_alltoall_result,
+    expected_folded_workload_result,
+    expected_workload_result,
     validate_alltoall_results,
+    validate_folded_alltoall_results,
+    validate_folded_workload_results,
+    validate_workload_results,
 )
 from repro.errors import AlgorithmError, BufferSizeError
 from repro.machine import ProcessMap, tiny_cluster
@@ -65,34 +71,101 @@ class TestAlltoallReference:
             alltoall_reference([np.zeros(5), np.zeros(5)])
 
 
+def _uniform_job():
+    nprocs, block = 6, 2
+    results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
+    return results, lambda res: validate_alltoall_results(res, nprocs, block)
+
+
+def _folded_job():
+    nprocs, ppn, block = 12, 3, 2
+    results = [expected_folded_alltoall_result(r, nprocs, ppn, block) for r in range(ppn)]
+    return results, lambda res: validate_folded_alltoall_results(res, nprocs, ppn, block)
+
+
+def _workload_job():
+    counts = np.array([[0, 1, 2, 3], [4, 0, 1, 2], [3, 4, 0, 1], [2, 3, 4, 1]])
+    results = [expected_workload_result(r, counts) for r in range(len(counts))]
+    return results, lambda res: validate_workload_results(res, counts)
+
+
+def _folded_workload_job():
+    # Rotation-invariant, as folding requires: counts depend only on the two
+    # local indices and the node distance.
+    nodes, ppn = 3, 2
+    counts = np.array([
+        [1 + s % ppn + 2 * (d % ppn) + (d // ppn - s // ppn) % nodes for d in range(nodes * ppn)]
+        for s in range(nodes * ppn)
+    ])
+    results = [expected_folded_workload_result(r, counts, ppn) for r in range(ppn)]
+    return results, lambda res: validate_folded_workload_results(res, counts, ppn)
+
+
+JOBS = {
+    "alltoall": _uniform_job,
+    "folded-alltoall": _folded_job,
+    "workload": _workload_job,
+    "folded-workload": _folded_workload_job,
+}
+
+
+@pytest.mark.parametrize("job", sorted(JOBS))
 class TestValidateResults:
-    def test_accepts_correct_results(self):
-        nprocs, block = 6, 2
-        results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
-        assert validate_alltoall_results(results, nprocs, block)
+    def test_accepts_correct_results(self, job):
+        results, validate = JOBS[job]()
+        assert validate(results)
 
-    def test_rejects_corrupted_value(self):
-        nprocs, block = 6, 2
-        results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
-        results[3][4] += 1
-        assert not validate_alltoall_results(results, nprocs, block)
+    def test_rejects_corrupted_value(self, job):
+        results, validate = JOBS[job]()
+        results[-1][results[-1].size // 2] += 1
+        assert not validate(results)
 
-    def test_rejects_missing_rank(self):
-        nprocs, block = 4, 2
-        results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
+    def test_rejects_missing_rank(self, job):
+        results, validate = JOBS[job]()
         results[1] = None
-        assert not validate_alltoall_results(results, nprocs, block)
+        assert not validate(results)
 
-    def test_wrong_count_rejected(self):
+    def test_wrong_count_rejected(self, job):
+        results, validate = JOBS[job]()
         with pytest.raises(BufferSizeError):
-            validate_alltoall_results([np.zeros(4)], 2, 2)
+            validate(results[:-1])
 
-    def test_wrong_size_rejected(self):
-        nprocs, block = 4, 2
-        results = [expected_alltoall_result(r, nprocs, block) for r in range(nprocs)]
-        results[0] = np.zeros(3)
+    def test_wrong_size_rejected(self, job):
+        results, validate = JOBS[job]()
+        results[0] = np.append(results[0], 0)
         with pytest.raises(BufferSizeError):
-            validate_alltoall_results(results, nprocs, block)
+            validate(results)
+
+
+FOLDED_REFERENCES = {
+    "alltoall": lambda rank, nprocs, ppn: expected_folded_alltoall_result(rank, nprocs, ppn, 2),
+    "workload": lambda rank, nprocs, ppn: expected_folded_workload_result(
+        rank, np.full((nprocs, nprocs), 2), ppn
+    ),
+}
+
+
+@pytest.mark.parametrize("reference", sorted(FOLDED_REFERENCES))
+class TestFoldedReferenceInputs:
+    """Both folded references refuse a ``ppn`` or ``rank`` outside their contract."""
+
+    def test_accepts_every_representative(self, reference):
+        for rank in range(4):
+            assert FOLDED_REFERENCES[reference](rank, 8, 4).size == 16
+
+    @pytest.mark.parametrize("ppn", [0, -2])
+    def test_ppn_below_one_rejected(self, reference, ppn):
+        with pytest.raises(BufferSizeError, match="ppn >= 1"):
+            FOLDED_REFERENCES[reference](0, 8, ppn)
+
+    def test_ppn_not_dividing_nprocs_rejected(self, reference):
+        with pytest.raises(BufferSizeError, match="dividing"):
+            FOLDED_REFERENCES[reference](0, 8, 3)
+
+    @pytest.mark.parametrize("rank", [-1, 4, 7])
+    def test_rank_outside_representatives_rejected(self, reference, rank):
+        with pytest.raises(BufferSizeError, match="representative"):
+            FOLDED_REFERENCES[reference](rank, 8, 4)
 
 
 class TestPhaseRecorder:
