@@ -7,18 +7,27 @@ here compute the expected buffers for the deterministic test pattern of
 :func:`repro.utils.buffers.make_alltoall_sendbuf` and check whole-job
 results, so the runner can validate every simulated exchange it performs.
 
-The uniform references (plain and folded) are built by one helper: given a
-source tag and a destination tag per block, it forms every item as one
-int64 outer sum ``(src_tag * nprocs + dest_tag) * 1000 + ramp`` and casts
-the grid once into the buffer dtype — the int64-then-wrap convention of the
-send buffers, with no Python loop over sources.  A folded representative's
-reference is therefore one NumPy pass even at paper scale (172,032 ranks).
+Item ``j`` of the block source ``s`` sends to destination ``d`` is
+``(s * nprocs + d) * 1000 + j``, wrapped into the buffer dtype exactly as
+casting that int64 value would wrap it.  For an integer dtype of N bits the
+builders form items in the dtype itself: they cast the small per-block base
+vector and the ramp into it and add there.  Casting int64 into an N-bit
+integer is reduction mod 2**N, and N-bit integer addition wraps mod 2**N;
+reduction mod 2**N respects addition, so the sum of the reduced operands is
+the reduced sum, byte for byte, and no int64 grid of items is ever built.
+Float dtypes are excluded: a float add rounds instead of wrapping, so
+adding separately cast operands could round twice (float32 holds integers
+exactly only below 2**24).  Their items are formed in int64 and cast once.
 
-The ``workload`` variants generalise all of this to non-uniform exchanges
+The uniform references (plain and folded) are built by :func:`_tagged_blocks`
+as one outer sum of per-block bases and the ramp, so a folded
+representative's reference is one NumPy pass even at paper scale (172,032
+ranks).  The ``workload`` variants generalise this to non-uniform exchanges
 driven by a per-pair count matrix (``alltoallv`` semantics): block sizes
-vary per (source, destination) pair, but the deterministic tagging scheme —
-``(source * nprocs + dest) * 1000`` plus an arithmetic ramp — is identical,
-so uniform and non-uniform validation are directly comparable.
+vary per (source, destination) pair, but the tagging scheme is identical,
+so uniform and non-uniform validation are directly comparable.  Their
+packed buffers are built by :func:`_tagged_runs` with one ``np.repeat`` of
+per-run offsets plus one position ramp, with no loop over pairs.
 """
 
 from __future__ import annotations
@@ -45,21 +54,56 @@ __all__ = [
 ]
 
 
+#: Length of the ramp that :func:`_tagged_runs` offsets chunk by chunk to
+#: form the position ramp of a packed buffer in an integer dtype.
+_RAMP_CHUNK = 4096
+
+
 def _tagged_blocks(src_tags, dest_tags, nprocs: int, block_items: int, dtype) -> np.ndarray:
     """Blocks of the test pattern, one per ``(src_tags[i], dest_tags[i])`` pair.
 
     ``src_tags`` is an int64 array with one entry per block; ``dest_tags`` is
     a matching array or one scalar for every block.  Item ``j`` of block
-    ``i`` is ``(src_tags[i] * nprocs + dest_tags[i]) * 1000 + j``, formed as
-    one int64 outer sum and cast once into ``dtype`` (the int64-then-wrap
-    convention of :func:`make_alltoall_sendbuf`, so small integer dtypes
-    hold the wrapped pattern).
+    ``i`` is ``(src_tags[i] * nprocs + dest_tags[i]) * 1000 + j``.  All
+    blocks are one outer sum of the per-block bases and the ramp: for an
+    integer ``dtype`` both are cast into it first and added there (see the
+    module docstring); for a float ``dtype`` the int64 sum is cast once.
     """
     if block_items < 0:
         raise BufferSizeError("block_items must be non-negative")
+    dtype = np.dtype(dtype)
     bases = (src_tags * nprocs + dest_tags) * 1000
     ramp = np.arange(block_items, dtype=np.int64)
-    return (bases[:, None] + ramp[None, :]).astype(dtype).reshape(-1)
+    if dtype.kind in "iu":
+        bases, ramp = bases.astype(dtype), ramp.astype(dtype)
+    return (bases[:, None] + ramp).astype(dtype, copy=False).reshape(-1)
+
+
+def _tagged_runs(src_tags, dest_tags, nprocs: int, lengths: np.ndarray, dtype) -> np.ndarray:
+    """Packed runs of the test pattern, ``lengths[i]`` items for pair ``i``.
+
+    The ``alltoallv`` analogue of :func:`_tagged_blocks`: the runs are laid
+    end to end, and item ``j`` of run ``i`` is
+    ``(src_tags[i] * nprocs + dest_tags[i]) * 1000 + j``.  A run that starts
+    at position ``start`` holds ``(base - start) + k`` at position ``k``, so
+    one ``np.repeat`` of the per-run offsets ``base - start`` plus the
+    position ramp builds every run.  For an integer ``dtype`` both terms are
+    formed in it (see the module docstring): the offsets are cast, and the
+    position ramp is the outer sum of the chunk starts and a
+    ``_RAMP_CHUNK``-item ramp, both cast, so no int64 array of items is
+    built.  For a float ``dtype`` the int64 sum is cast once.
+    """
+    ends = np.add.accumulate(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    offsets = (src_tags * nprocs + dest_tags) * 1000 - (ends - lengths)
+    dtype = np.dtype(dtype)
+    if dtype.kind not in "iu":
+        return (np.repeat(offsets, lengths) + np.arange(total, dtype=np.int64)).astype(dtype)
+    chunk = np.arange(min(total, _RAMP_CHUNK), dtype=np.int64).astype(dtype)
+    starts = np.arange(0, total, _RAMP_CHUNK, dtype=np.int64).astype(dtype)
+    runs = np.repeat(offsets.astype(dtype), lengths)
+    runs += (starts[:, None] + chunk).reshape(-1)[:total]
+    return runs
 
 
 def expected_alltoall_result(rank: int, nprocs: int, block_items: int, dtype=np.int64) -> np.ndarray:
@@ -175,43 +219,24 @@ def validate_folded_alltoall_results(
     return True
 
 
-def _workload_pattern(src: int, dest: int, nprocs: int, items: int, dtype) -> np.ndarray:
-    # Same int64-then-wrap convention as make_alltoall_sendbuf.
-    base = src * nprocs + dest
-    return (base * 1000 + np.arange(items, dtype=np.int64)).astype(dtype)
-
-
 def make_workload_sendbuf(rank: int, counts, dtype=np.int64) -> np.ndarray:
     """Build rank ``rank``'s deterministic packed send buffer for a count matrix.
 
     ``counts[s, d]`` is the number of items ``s`` sends to ``d``; the buffer
     concatenates the variable-size blocks for destinations ``0..p-1`` with
-    the tagging scheme of :func:`repro.utils.buffers.make_alltoall_sendbuf`.
+    the tagging scheme of :func:`repro.utils.buffers.make_alltoall_sendbuf`,
+    built in one pass (see :func:`_tagged_runs`).
     """
     arr = check_counts_matrix(counts)
     nprocs = arr.shape[0]
-    row = arr[rank]
-    buf = np.empty(int(row.sum()), dtype=dtype)
-    pos = 0
-    for dest in range(nprocs):
-        items = int(row[dest])
-        buf[pos: pos + items] = _workload_pattern(rank, dest, nprocs, items, dtype)
-        pos += items
-    return buf
+    return _tagged_runs(rank, np.arange(nprocs, dtype=np.int64), nprocs, arr[rank], dtype)
 
 
 def expected_workload_result(rank: int, counts, dtype=np.int64) -> np.ndarray:
     """Expected packed receive buffer of ``rank`` for the workload test pattern."""
     arr = check_counts_matrix(counts)
     nprocs = arr.shape[0]
-    col = arr[:, rank]
-    out = np.empty(int(col.sum()), dtype=dtype)
-    pos = 0
-    for src in range(nprocs):
-        items = int(col[src])
-        out[pos: pos + items] = _workload_pattern(src, rank, nprocs, items, dtype)
-        pos += items
-    return out
+    return _tagged_runs(np.arange(nprocs, dtype=np.int64), rank, nprocs, arr[:, rank], dtype)
 
 
 def expected_folded_workload_result(rank: int, counts, ppn: int, dtype=np.int64) -> np.ndarray:
@@ -228,15 +253,9 @@ def expected_folded_workload_result(rank: int, counts, ppn: int, dtype=np.int64)
     arr = check_counts_matrix(counts)
     nprocs = arr.shape[0]
     _check_folded_rank(rank, nprocs, ppn)
-    col = arr[:, rank]
-    out = np.empty(int(col.sum()), dtype=dtype)
-    pos = 0
-    for src in range(nprocs):
-        items = int(col[src])
-        shifted_dest = (rank - (src // ppn) * ppn) % nprocs
-        out[pos: pos + items] = _workload_pattern(src % ppn, shifted_dest, nprocs, items, dtype)
-        pos += items
-    return out
+    src = np.arange(nprocs, dtype=np.int64)
+    shifted_dest = (rank - (src // ppn) * ppn) % nprocs
+    return _tagged_runs(src % ppn, shifted_dest, nprocs, arr[:, rank], dtype)
 
 
 def validate_folded_workload_results(results: Sequence[np.ndarray], counts, ppn: int) -> bool:

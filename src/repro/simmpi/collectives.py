@@ -296,13 +296,13 @@ def alltoallv(comm, sendbuf, sendcounts, sdispls, recvbuf, recvcounts, rdispls):
     vectors, so no rank ever waits for a message that is never sent) — sparse
     traffic matrices therefore cost only the messages they actually contain.
     """
-    from repro.utils.buffers import check_v_counts
+    from repro.utils.buffers import _as_item_array, check_v_counts
 
     size, rank = comm.size, comm.rank
     sendcounts = check_v_counts(sendcounts, size, name="sendcounts")
     recvcounts = check_v_counts(recvcounts, size, name="recvcounts")
-    sdispls = np.asarray(sdispls, dtype=np.int64)
-    rdispls = np.asarray(rdispls, dtype=np.int64)
+    sdispls = _as_item_array(sdispls, name="sdispls")
+    rdispls = _as_item_array(rdispls, name="rdispls")
     _check_v_layout(sendbuf, sendcounts, sdispls, "send")
     _check_v_layout(recvbuf, recvcounts, rdispls, "receive")
     if sendcounts[rank] != recvcounts[rank]:

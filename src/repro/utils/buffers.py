@@ -83,13 +83,29 @@ def concat_blocks(blocks: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([np.asarray(b).ravel() for b in blocks])
 
 
+def _as_item_array(values, *, name: str) -> np.ndarray:
+    """Return item counts or displacements as an ``int64`` array.
+
+    Whole-valued floats convert exactly; a non-finite or fractional entry
+    raises :class:`BufferSizeError` instead of being truncated (a count of
+    1.5 items would otherwise move one item without complaint).  Integer
+    input skips the check, so the simulator's hot path pays nothing.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iu":
+        as_float = arr.astype(np.float64)
+        if not np.isfinite(as_float).all() or (as_float != np.trunc(as_float)).any():
+            raise BufferSizeError(f"{name} entries must be whole numbers of items")
+    return np.asarray(arr, dtype=np.int64)
+
+
 def displacements_from_counts(counts: Sequence[int] | np.ndarray) -> np.ndarray:
     """Exclusive prefix sum of ``counts`` — the packed-layout displacements of ``MPI_Alltoallv``.
 
     ``displacements_from_counts([3, 0, 2])`` is ``[0, 3, 3]``: block ``i``
     occupies ``[displs[i], displs[i] + counts[i])`` of the flat buffer.
     """
-    arr = np.asarray(counts, dtype=np.int64)
+    arr = _as_item_array(counts, name="counts")
     displs = np.zeros(arr.size, dtype=np.int64)
     if arr.size > 1:
         np.cumsum(arr[:-1], out=displs[1:])
@@ -101,9 +117,9 @@ def check_v_counts(counts: Sequence[int] | np.ndarray, nblocks: int, *, name: st
 
     Returns the counts as an ``int64`` array; raises
     :class:`BufferSizeError` when the length does not match the peer count or
-    any entry is negative.
+    any entry is negative, fractional or not finite.
     """
-    arr = np.asarray(counts, dtype=np.int64)
+    arr = _as_item_array(counts, name=name)
     if arr.ndim != 1 or arr.size != nblocks:
         raise BufferSizeError(
             f"{name} must be a flat vector of {nblocks} entries, got shape {arr.shape}"
@@ -118,9 +134,11 @@ def check_counts_matrix(counts, nprocs: int | None = None, *, name: str = "count
 
     The single checker behind every alltoallv-style consumer (v-algorithms,
     workload validation).  When ``nprocs`` is given the shape must be exactly
-    ``(nprocs, nprocs)``; otherwise any square matrix is accepted.
+    ``(nprocs, nprocs)``; otherwise any square matrix is accepted.  Entries
+    must be non-negative whole numbers: whole-valued floats convert, while a
+    fractional or non-finite entry raises :class:`BufferSizeError`.
     """
-    arr = np.asarray(counts, dtype=np.int64)
+    arr = _as_item_array(counts, name=f"{name} matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise BufferSizeError(f"the {name} matrix must be square, got shape {arr.shape}")
     if nprocs is not None and arr.shape[0] != nprocs:
@@ -146,14 +164,21 @@ def make_alltoall_sendbuf(rank: int, nprocs: int, block_items: int, dtype=np.int
         raise ValueError("block_items must be non-negative")
     buf = np.empty(nprocs * block_items, dtype=dtype)
     if block_items:
-        # Compute in int64 and wrap into the target dtype so small integer
-        # dtypes (e.g. uint8 payload buffers) stay valid test patterns.  One
-        # vectorised outer sum replaces the former per-destination loop (the
-        # buffer build is part of every simulated job's setup cost).
-        bases = (rank * nprocs + np.arange(nprocs, dtype=np.int64)) * 1000
+        # The pattern wraps into small integer dtypes (e.g. uint8 payload
+        # buffers) exactly as an int64 value cast into them would.  One
+        # vectorised outer sum builds every block (the buffer build is part
+        # of every simulated job's setup cost); block d's base is
+        # (rank * nprocs + d) * 1000.
+        bases = np.arange(rank * nprocs * 1000, (rank + 1) * nprocs * 1000, 1000, dtype=np.int64)
         ramp = np.arange(block_items, dtype=np.int64)
-        # One ufunc pass, casting each int64 sum into the target dtype on
-        # store (same C cast as astype) without materialising the int64 grid.
-        np.add(bases[:, None], ramp[None, :],
-               out=buf.reshape(nprocs, block_items), casting="unsafe")
+        if buf.dtype.kind in "iu":
+            # The add runs in the dtype itself: casting int64 into an N-bit
+            # integer reduces mod 2**N and the N-bit add wraps mod 2**N, so
+            # narrowing the operands first gives the same bytes as the int64
+            # sum cast afterwards, without an int64 pass over every item.
+            bases = bases.astype(buf.dtype)
+            ramp = ramp.astype(buf.dtype)
+        # Float dtypes add in int64 and cast each sum on store (the same C
+        # cast as astype) without materialising the int64 grid.
+        np.add(bases[:, None], ramp, out=buf.reshape(nprocs, block_items), casting="unsafe")
     return buf

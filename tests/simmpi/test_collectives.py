@@ -253,7 +253,38 @@ class TestBasicAlltoall:
             _run(two_node_pmap, program)
 
 
+def _two_rank_alltoallv(sendcounts, recvcounts, sdispls=None, rdispls=None):
+    """One alltoallv on 2 ranks; rank ``r`` sends ``[10 * r, 10 * r + 1]``."""
+
+    def program(ctx):
+        send = np.array([10 * ctx.rank, 10 * ctx.rank + 1], dtype=np.int64)
+        recv = np.zeros(2, dtype=np.int64)
+        yield from ctx.world.alltoallv(send, sendcounts, recv, recvcounts, sdispls, rdispls)
+        ctx.result = recv.copy()
+
+    return _run(ProcessMap(tiny_cluster(num_nodes=1), ppn=2), program).results
+
+
 class TestAlltoallv:
+    def test_fractional_counts_rejected(self):
+        # Truncated to one item per peer, these used to deliver [[0, 10], [1, 11]].
+        with pytest.raises(BufferSizeError, match="whole numbers"):
+            _two_rank_alltoallv([1.5, 1.5], [1.5, 1.5])
+
+    def test_nan_count_rejected(self):
+        with pytest.raises(BufferSizeError, match="whole numbers"):
+            _two_rank_alltoallv([np.nan, 1.0], [np.nan, 1.0])
+
+    def test_fractional_displacements_rejected(self):
+        with pytest.raises(BufferSizeError, match="sdispls"):
+            _two_rank_alltoallv([1, 1], [1, 1], [0, 0.5], [0, 1])
+        with pytest.raises(BufferSizeError, match="rdispls"):
+            _two_rank_alltoallv([1, 1], [1, 1], [0, 1], [0, 1.5])
+
+    def test_whole_valued_float_counts_run(self):
+        results = _two_rank_alltoallv([1.0, 1.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0])
+        assert [buf.tolist() for buf in results] == [[0, 10], [1, 11]]
+
     def test_matches_variable_transposition(self, two_node_pmap):
         """Ragged counts: rank s sends s+1 items to every destination."""
         p = two_node_pmap.nprocs

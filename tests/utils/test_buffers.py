@@ -8,6 +8,8 @@ from repro.utils.buffers import (
     as_block_view,
     block_slice,
     check_buffer,
+    check_counts_matrix,
+    check_v_counts,
     concat_blocks,
     make_alltoall_sendbuf,
     split_blocks,
@@ -124,3 +126,21 @@ class TestMakeAlltoallSendbuf:
     def test_negative_block_items_rejected(self):
         with pytest.raises(ValueError):
             make_alltoall_sendbuf(0, 4, -1)
+
+
+class TestCountCoercion:
+    def test_nan_count_is_a_buffer_size_error(self):
+        with pytest.raises(BufferSizeError, match="whole numbers"):
+            check_counts_matrix([[np.nan, 1.0], [1.0, 1.0]])
+        with pytest.raises(BufferSizeError, match="whole numbers"):
+            check_v_counts([np.inf, 1.0], 2)
+
+    def test_fractional_count_rejected(self):
+        with pytest.raises(BufferSizeError, match="sendcounts"):
+            check_v_counts([1.5, 1.0], 2, name="sendcounts")
+
+    def test_whole_valued_floats_convert(self):
+        arr = check_counts_matrix(np.array([[1.0, 2.0], [3.0, 0.0]]))
+        assert arr.dtype == np.int64
+        assert arr.tolist() == [[1, 2], [3, 0]]
+        assert check_v_counts([4.0, 0.0], 2).tolist() == [4, 0]

@@ -177,6 +177,28 @@ class TestVAlgorithmValidation:
             pmap, np.zeros((pmap.nprocs, pmap.nprocs), dtype=np.int64)
         )
 
+    def test_fractional_count_matrix_rejected(self):
+        two_ranks = ProcessMap(tiny_cluster(num_nodes=1), ppn=2)
+        with pytest.raises(BufferSizeError, match="whole numbers"):
+            get_v_algorithm("pairwise").validate(two_ranks, [[1.5, 2.0], [2.0, 1.0]])
+
+    @pytest.mark.parametrize("algorithm", list_v_algorithms())
+    def test_whole_valued_float_count_matrix_runs(self, pmap, algorithm):
+        from repro.core.validation import make_workload_sendbuf, validate_workload_results
+        from repro.simmpi import run_spmd
+
+        counts = skewed_moe(pmap.nprocs, 32, seed=4).item_counts().astype(np.float64)
+        algo = get_v_algorithm(algorithm)
+        algo.validate(pmap, counts)
+
+        def program(ctx):
+            send = make_workload_sendbuf(ctx.rank, counts, dtype=np.uint8)
+            recv = np.zeros(int(counts[:, ctx.rank].sum()), dtype=np.uint8)
+            yield from algo.run(ctx, counts, send, recv)
+            ctx.result = recv.copy()
+
+        assert validate_workload_results(run_spmd(pmap, program).results, counts)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigurationError):
             get_v_algorithm("teleport")
