@@ -59,7 +59,14 @@ class StoreEntry:
 
 
 class TraceStore:
-    """Directory-backed, content-keyed store of phased workloads."""
+    """Directory-backed, content-keyed store of phased workloads.
+
+    Corruption policy: a corrupt object file or index raises
+    :class:`~repro.errors.ConfigurationError` naming the file.  An ingested
+    trace cannot be recomputed from its key, so it is never deleted or
+    read as absent.  :class:`repro.runtime.ResultStore` treats a corrupt
+    entry as a miss instead, because a cached result can be recomputed.
+    """
 
     def __init__(self, root) -> None:
         self.root = Path(root)
@@ -72,19 +79,32 @@ class TraceStore:
         return self.root / "index.json"
 
     def _load_index(self) -> dict:
+        """The parsed index; its ``entries`` maps each key to a dict."""
         if not self.index_path.exists():
             return {"version": _INDEX_VERSION, "entries": {}}
         try:
-            with open(self.index_path, "r", encoding="utf-8") as handle:
-                index = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
+            index = json.loads(self.index_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
             raise ConfigurationError(
                 f"trace store index {self.index_path} is unreadable: {exc}"
             ) from exc
+        if not isinstance(index, dict):
+            raise ConfigurationError(
+                f"trace store index {self.index_path} is malformed: expected a JSON "
+                f"object, got {type(index).__name__}"
+            )
         if index.get("version") != _INDEX_VERSION:
             raise ConfigurationError(
                 f"trace store index {self.index_path} has unsupported version "
                 f"{index.get('version')!r}"
+            )
+        entries = index.setdefault("entries", {})
+        if not isinstance(entries, dict) or not all(
+            isinstance(entry, dict) for entry in entries.values()
+        ):
+            raise ConfigurationError(
+                f"trace store index {self.index_path} is malformed: "
+                "'entries' must map keys to objects"
             )
         return index
 
@@ -125,7 +145,7 @@ class TraceStore:
         }
         with self._index_lock():
             index = self._load_index()
-            entries = index.setdefault("entries", {})
+            entries = index["entries"]
             if name is not None:
                 for other_key, other in entries.items():
                     if other.get("name") == name and other_key != key:
@@ -145,18 +165,22 @@ class TraceStore:
         object_path = self.objects / f"{key}.json"
         if not object_path.exists():
             raise ConfigurationError(f"trace store has no entry {key!r}")
-        with open(object_path, "r", encoding="utf-8") as handle:
-            workload = PhasedWorkload.from_payload(handle.read())
+        try:
+            workload = PhasedWorkload.from_payload(object_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError, TypeError, ConfigurationError) as exc:
+            raise ConfigurationError(
+                f"trace store entry {object_path} is unreadable: {exc}"
+            ) from exc
         if workload.digest() != key:
             raise ConfigurationError(
-                f"trace store entry {key[:12]} is corrupt: content hashes to "
+                f"trace store entry {object_path} is corrupt: content hashes to "
                 f"{workload.digest()[:12]}"
             )
         return workload
 
     def resolve(self, name_or_key: str) -> str:
         """Turn a name or (abbreviated) key into a full content-hash key."""
-        entries = self._load_index().get("entries", {})
+        entries = self._load_index()["entries"]
         for key, entry in sorted(entries.items()):
             if entry.get("name") == name_or_key:
                 return key
@@ -178,7 +202,7 @@ class TraceStore:
 
     def entries(self) -> list[StoreEntry]:
         """All indexed workloads, sorted by key (deterministic listing)."""
-        entries = self._load_index().get("entries", {})
+        entries = self._load_index()["entries"]
         return [
             StoreEntry(
                 key=key,
@@ -194,4 +218,4 @@ class TraceStore:
         return (self.objects / f"{key}.json").exists()
 
     def __len__(self) -> int:
-        return len(self._load_index().get("entries", {}))
+        return len(self._load_index()["entries"])

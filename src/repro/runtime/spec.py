@@ -12,6 +12,19 @@ cache key of the on-disk :class:`~repro.runtime.store.ResultStore`.  Two
 specs are equal exactly when their canonical forms are equal, so any change
 to the cluster parameters, the algorithm options or the traffic invalidates
 the cached result.
+
+The canonical form is ``json.dumps(payload, sort_keys=True,
+separators=(",", ":"))`` of :meth:`PointSpec.payload`, but it is assembled
+from two parts: the spec's own fields, serialized per spec, and the
+cluster's canonical JSON, serialized once per :class:`Cluster` object and
+memoised on it.  The cluster is most of the bytes and a sweep's specs
+share one cluster, so this serializes it once per sweep instead of once
+per point.  The cluster's JSON is spliced in where ``"cluster"`` sorts,
+directly after ``"algorithm"``, so the result is byte-identical to
+dumping the whole payload.  The memo relies on ``Cluster`` being
+immutable, the same assumption ``PointSpec``'s own memo and
+:attr:`NodeArchitecture.level_table` make: a copy with other parameters
+(``with_params``, ``dataclasses.replace``) is a new object with no memo.
 """
 
 from __future__ import annotations
@@ -75,6 +88,31 @@ def cluster_payload(cluster: Cluster) -> dict:
     if not isinstance(cluster.fabric, FullBisectionFabric):
         payload["fabric"] = cluster.fabric.payload()
     return payload
+
+
+def _cluster_json(cluster: Cluster) -> str:
+    """Canonical JSON of :func:`cluster_payload`, memoised on the frozen cluster."""
+    cached = cluster.__dict__.get("_canonical_json")
+    if cached is None:
+        cached = json.dumps(cluster_payload(cluster), sort_keys=True, separators=(",", ":"))
+        object.__setattr__(cluster, "_canonical_json", cached)
+    return cached
+
+
+def _message_size(value: Any) -> int:
+    """``value`` as a positive int of bytes; anything else raises.
+
+    Integers (``__index__``) and whole-valued floats convert; booleans,
+    fractional, non-finite and non-positive sizes are configuration errors
+    rather than being truncated into a different point.
+    """
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ConfigurationError(f"msg_bytes must be a whole number of bytes, got {value!r}")
+    if value <= 0:
+        raise ConfigurationError(f"msg_bytes must be positive, got {value!r}")
+    return int(value)
 
 
 def cluster_from_payload(payload: dict) -> Cluster:
@@ -151,6 +189,8 @@ class PointSpec:
                 )
         elif (self.msg_bytes is None) == (self.trace is None):
             raise ConfigurationError("a PointSpec needs exactly one of msg_bytes and trace")
+        elif self.msg_bytes is not None:
+            object.__setattr__(self, "msg_bytes", _message_size(self.msg_bytes))
         if self.ppn <= 0 or self.num_nodes <= 0:
             raise ConfigurationError("ppn and num_nodes must be positive")
         if self.repetitions <= 0:
@@ -191,7 +231,7 @@ class PointSpec:
         """Spec for one uniform all-to-all point."""
         return cls(cluster=cluster, ppn=ppn, num_nodes=num_nodes, engine=engine,
                    algorithm=algorithm, repetitions=repetitions,
-                   options=tuple(sorted(options.items())), msg_bytes=int(msg_bytes),
+                   options=tuple(sorted(options.items())), msg_bytes=msg_bytes,
                    fold=fold, faults=faults)
 
     @classmethod
@@ -288,9 +328,12 @@ class PointSpec:
         too: only phased specs carry the key, so every pre-phases cache key
         and golden digest is bit-identical.
         """
-        payload = {
-            "version": SPEC_VERSION,
-            "cluster": cluster_payload(self.cluster),
+        return {"version": SPEC_VERSION, "cluster": cluster_payload(self.cluster),
+                **self._fields()}
+
+    def _fields(self) -> dict:
+        """The payload without ``version`` and ``cluster``, in payload order."""
+        fields = {
             "ppn": self.ppn,
             "num_nodes": self.num_nodes,
             "engine": self.engine,
@@ -301,15 +344,22 @@ class PointSpec:
             "trace": self.trace,
         }
         if self.fold != "off":
-            payload["fold"] = self.fold
+            fields["fold"] = self.fold
         if self.faults is not None:
-            payload["faults"] = self.faults.payload()
+            fields["faults"] = self.faults.payload()
         if self.phases is not None:
-            payload["phases"] = self.phases
-        return payload
+            fields["phases"] = self.phases
+        return fields
 
     def canonical(self) -> str:
         """Canonical JSON form; the sole basis of equality, hashing and cache keys.
+
+        Equal to ``json.dumps(self.payload(), sort_keys=True,
+        separators=(",", ":"))``, assembled without re-serializing the
+        cluster: the payload is dumped with those settings and a
+        placeholder cluster, and the cluster's memoised canonical JSON
+        replaces the placeholder.  ``"cluster"`` sorts second, directly
+        after ``"algorithm"``.
 
         Memoized: workload specs embed the whole traffic matrix, and one
         executor batch consults the key several times per spec (store
@@ -317,12 +367,19 @@ class PointSpec:
         """
         cached = self.__dict__.get("_canonical")
         if cached is None:
+            fields = self._fields()
+            fields["version"] = SPEC_VERSION
+            fields["cluster"] = 0
             try:
-                cached = json.dumps(self.payload(), sort_keys=True, separators=(",", ":"))
+                cached = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+                cluster = _cluster_json(self.cluster)
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(
                     f"point spec is not serializable (non-JSON option value?): {exc}"
                 ) from exc
+            # Only the algorithm's name precedes the placeholder, and a JSON
+            # string escapes its quotes, so the first match is the key itself.
+            cached = cached.replace('"cluster":0', '"cluster":' + cluster, 1)
             object.__setattr__(self, "_canonical", cached)
         return cached
 

@@ -10,6 +10,12 @@ reads as a miss (the point is recomputed and rewritten), never as an error.
 Writes are atomic (:func:`repro.utils.files.atomic_write_text`) so
 concurrent sweeps sharing a cache directory cannot observe half-written
 entries.
+
+Entries are read as raw bytes and decoded as strict UTF-8 before the JSON
+parse.  ``put`` writes plain UTF-8, so anything else is corruption: a
+UTF-8 byte-order mark, UTF-16 text or invalid bytes read as a corrupt
+entry (``json.loads`` on bytes alone would auto-detect UTF-16 and strip
+the mark, and serve them).
 """
 
 from __future__ import annotations
@@ -29,7 +35,15 @@ __all__ = ["ResultStore"]
 
 
 class ResultStore:
-    """JSON cache of :class:`TimedPoint` results keyed by spec hash."""
+    """JSON cache of :class:`TimedPoint` results keyed by spec hash.
+
+    Corruption policy: a corrupt entry is a miss.  :meth:`get` counts it in
+    :attr:`corrupt`, deletes the file and returns ``None``, and the sweep
+    recomputes the point and rewrites it.  A cached result can always be
+    recomputed from its spec, so no corrupt entry is worth an error.
+    :class:`repro.ingest.TraceStore` raises instead, because an ingested
+    trace cannot be recomputed.
+    """
 
     def __init__(self, cache_dir: str | os.PathLike) -> None:
         self.cache_dir = Path(cache_dir)
@@ -43,8 +57,12 @@ class ResultStore:
         self.corrupt = 0
 
     def path_for(self, spec: PointSpec) -> Path:
-        key = spec.key()
-        return self.cache_dir / key[:2] / f"{key}.json"
+        return Path(self._entry_path(spec.key()))
+
+    def _entry_path(self, key: str) -> str:
+        # A string, not a Path: ``get`` runs once per cached point, and
+        # os.path.join is cheaper than pathlib's joins.
+        return os.path.join(self.cache_dir, key[:2], key + ".json")
 
     # -- read ----------------------------------------------------------------
     def get(self, spec: PointSpec) -> "TimedPoint | None":
@@ -59,10 +77,11 @@ class ResultStore:
         """
         from repro.bench.datasets import TimedPoint  # deferred to break the import cycle
 
-        path = self.path_for(spec)
+        path = self._entry_path(spec.key())
         try:
-            with open(path, "r", encoding="utf-8") as handle:
-                entry = json.load(handle)
+            with open(path, "rb", buffering=0) as handle:
+                raw = handle.read()
+            entry = json.loads(raw.decode("utf-8"))
             result = entry["result"]
             seconds = float(result["seconds"])
             phases = {str(name): float(value) for name, value in result["phases"].items()}

@@ -11,7 +11,9 @@ import pytest
 
 from repro.core import PhasedJob
 from repro.errors import ConfigurationError
+from repro.faults import parse_faults
 from repro.machine import tiny_cluster
+from repro.netsim.fabric import parse_fabric
 from repro.runtime import PointSpec
 from repro.workloads import Phase, PhasedWorkload, skewed_moe, uniform
 
@@ -47,6 +49,50 @@ class TestPrePhasedKeysUnchanged:
             tiny_cluster(2), 2, 2, "pairwise", 64, engine="simulate"
         )
         assert spec.key() == "c85dafe1b1d3a9819ba21a29d5f569453c3564d3f73a03d45cdd11ea077ea41a"
+
+    @pytest.mark.parametrize("build, key", [
+        pytest.param(
+            lambda: PointSpec.for_workload(tiny_cluster(2), 2, 2, "pairwise",
+                                           skewed_moe(4, 64, seed=3), engine="simulate"),
+            "a0bc06aaf356448d4501aa9efbfec6d628ed749b9525a6d2b1083fd72a041900",
+            id="workload"),
+        pytest.param(
+            lambda: PointSpec.for_alltoall(tiny_cluster(2), 2, 2, "pairwise", 64,
+                                           engine="simulate", fold="on"),
+            "4d77c03c4e2b75e07bc6bad2ea867b30aad59a24de5c85a962b0f786c8788816",
+            id="fold-on"),
+        pytest.param(
+            lambda: PointSpec.for_alltoall(
+                tiny_cluster(2), 2, 2, "pairwise", 64, engine="simulate",
+                faults=parse_faults("straggler:0,2;os-noise:1e-6;seed:5")),
+            "6c70f20d315865b7565d72e02e88d03f0a4e8abc24de787ce2eb9fac1b39266b",
+            id="faults"),
+        pytest.param(
+            lambda: PointSpec.for_alltoall(
+                tiny_cluster(4, fabric=parse_fabric("fat-tree:hosts=2,oversub=4")),
+                2, 4, "pairwise", 64, engine="simulate"),
+            "362837bcd475c1bbb1e2ab319b0b34a2a6d72e7e60f428ecdf3a9ebe67c6376d",
+            id="fat-tree"),
+        pytest.param(
+            lambda: PointSpec.for_alltoall(
+                tiny_cluster(4, fabric=parse_fabric("dragonfly:hosts=2,routers=2,taper=4")),
+                2, 4, "pairwise", 64, engine="simulate"),
+            "43daaa6286deb4851a522188c6816b1cc9b0cefd23475f818eec333f555f0d22",
+            id="dragonfly"),
+        pytest.param(
+            lambda: PointSpec.for_alltoall(tiny_cluster(2), 2, 2, "node-aware", 64,
+                                           procs_per_group=2),
+            "c56e2f5169826683ffc9822ac7c94d8af1b4615f057c4b9a7b459d2ba4f54810",
+            id="model-engine"),
+        pytest.param(
+            _phased_spec,
+            "f9a9facfd575854a7df06b9e253ffd591e05b94d0bd8a9931853f32d3d584f2c",
+            id="phased"),
+    ])
+    def test_pinned_optional_key_branches(self, build, key):
+        # Frozen literals, one per optional payload key or value branch: a
+        # change to how the canonical form is assembled must not move any.
+        assert build().key() == key
 
 
 class TestPhasedSpecIdentity:

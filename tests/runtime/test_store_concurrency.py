@@ -9,9 +9,16 @@ and exercise the corrupt-entry -> recompute -> rewrite path directly.
 The TraceStore's index is a read-modify-write of one file, so its contract
 is *no lost updates*: concurrent puts of different traces all end up
 indexed.
+
+The two stores have opposite corruption policies.  A corrupt ResultStore
+entry is a miss that is counted, deleted and recomputed; a corrupt
+TraceStore object or index is a ConfigurationError naming the file, which
+the CLI reports as a message, because an ingested trace cannot be
+recomputed.
 """
 
 import multiprocessing
+import pathlib
 import threading
 
 import pytest
@@ -99,6 +106,37 @@ class TestCorruptedEntryRecovery:
             recomputed = run_point(spec)
             store.put(spec, recomputed)
             assert store.get(spec) == first == recomputed
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda clean: b"\xef\xbb\xbf" + clean, id="utf8-bom"),
+        pytest.param(lambda clean: clean.decode("utf-8").encode("utf-16"), id="utf16"),
+        pytest.param(lambda clean: clean[:16] + b"\xff\xfe\x80" + clean[16:],
+                     id="invalid-utf8"),
+        pytest.param(lambda clean: b"[" + clean.rstrip() + b"]\n", id="top-level-list"),
+    ])
+    def test_byte_level_corruption_is_a_miss_that_the_next_sweep_rewrites(
+            self, tmp_path, corrupt):
+        """Entries are strict UTF-8 JSON objects.  A byte-order mark or UTF-16
+        text would parse if the bytes went to ``json.loads`` undecoded, but
+        ``put`` never writes them, so they are corruption like any other."""
+        store = ResultStore(tmp_path / "cache")
+        spec = _spec()
+        with SweepExecutor(jobs=1, store=store) as executor:
+            [first] = executor.run([spec])
+        path = store.path_for(spec)
+        clean = path.read_bytes()
+        path.write_bytes(corrupt(clean))
+
+        before = store.stats()
+        assert store.get(spec) is None
+        assert store.stats() == {**before, "corrupt": before["corrupt"] + 1}
+        assert not path.exists()
+
+        with SweepExecutor(jobs=1, store=store) as executor:
+            assert executor.run([spec]) == [first]
+            assert executor.executed_points == 1
+        assert path.read_bytes() == clean
+        assert store.get(spec) == first
 
     def test_truncated_entry_reads_as_miss(self, tmp_path):
         store = ResultStore(tmp_path / "cache")
@@ -234,3 +272,50 @@ class TestTraceStoreIndexLock:
                 key = _trace_workload(1000 * w + i + 1).digest()
                 assert store.resolve(f"w{w}-{i}") == key
                 assert store.get(key) == _trace_workload(1000 * w + i + 1)
+
+
+SAMPLE_TRACE = str(
+    pathlib.Path(__file__).resolve().parents[2]
+    / "examples" / "traces" / "moe_routing_sample.jsonl"
+)
+
+
+@pytest.fixture
+def ingested_store(tmp_path, capsys):
+    """A trace store holding the sample trace under the name ``moe``."""
+    from repro.cli import main
+
+    root = tmp_path / "ts"
+    assert main(["ingest", SAMPLE_TRACE, "--store", str(root), "--name", "moe"]) == 0
+    capsys.readouterr()
+    return root
+
+
+class TestTraceStoreCorruption:
+    def test_corrupt_object_file_is_a_message_naming_it(self, ingested_store):
+        from repro.cli import main
+
+        [object_path] = (ingested_store / "objects").glob("*.json")
+        object_path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figures", "--id", "adaptive", "--phases", f"store:{ingested_store}:moe"])
+        message = str(excinfo.value)
+        assert f"trace store entry {object_path} is unreadable" in message
+        # An ingested trace cannot be recomputed: the file is kept, not deleted.
+        assert object_path.read_bytes() == b"\xff\xfe\x00"
+
+    @pytest.mark.parametrize("index, problem", [
+        pytest.param(b"\xff\xfe", "is unreadable", id="invalid-utf8"),
+        pytest.param(b"[]", "is malformed", id="top-level-list"),
+        pytest.param(b'{"version": 1, "entries": []}', "is malformed", id="entries-list"),
+        pytest.param(b'{"version": 1, "entries": {"k": 3}}', "is malformed",
+                     id="entry-not-object"),
+    ])
+    def test_corrupt_index_is_a_message_naming_it(self, ingested_store, index, problem):
+        from repro.cli import main
+
+        index_path = ingested_store / "index.json"
+        index_path.write_bytes(index)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ingest", "--list", "--store", str(ingested_store)])
+        assert f"trace store index {index_path} {problem}" in str(excinfo.value)
