@@ -1,6 +1,6 @@
 """Benchmark harness: regenerate every table and figure of the paper's evaluation.
 
-The harness has three layers:
+The harness has four layers:
 
 * :mod:`repro.bench.datasets` — plain dataclasses for series and figures;
 * :mod:`repro.bench.harness` — :class:`BenchmarkHarness`, which times one
@@ -14,10 +14,10 @@ The harness has three layers:
   the paper plots;
 * :mod:`repro.bench.reporting` — ASCII/CSV rendering of those results.
 
-The ``benchmarks/`` directory at the repository root contains one
-pytest-benchmark module per figure that simply invokes these functions and
-prints the regenerated series.  Host-time performance of the simulator
-itself is measured by ``benchmarks/perf/`` (declared in ``BENCHMARK.json``).
+``repro-bench figures`` prints the regenerated figures, and
+``tests/integration/test_paper_trends.py`` checks the paper's claims on
+them.  Host-time performance of the simulator itself is measured by
+``benchmarks/perf/`` (declared in ``BENCHMARK.json``).
 """
 
 from repro.bench.datasets import DataSeries, FigureResult, SeriesPoint

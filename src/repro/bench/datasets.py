@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 
@@ -103,7 +103,12 @@ class FigureResult:
         return best
 
     def speedup_over(self, baseline_label: str, x: float) -> float:
-        """Best-series speedup over the named baseline at ``x``."""
+        """Speedup of the fastest *other* series over the named baseline at ``x``.
+
+        Below 1.0 when the baseline is the fastest series at ``x``.
+        """
         baseline = self.get(baseline_label).at(x).seconds
-        _, best = self.best_at(x)
+        others = replace(self, figure_id=f"{self.figure_id} without {baseline_label!r}",
+                         series=[s for s in self.series if s.label != baseline_label])
+        _, best = others.best_at(x)
         return baseline / best if best > 0 else float("inf")

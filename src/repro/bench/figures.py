@@ -686,7 +686,7 @@ def headline_speedup(cluster: Cluster | None = None, *, ppn: int | None = None,
     }
 
 
-#: Registry used by the benchmark modules and tests.
+#: Registry of the figures ``repro-bench figures --id`` can regenerate.
 FIGURES: dict[str, Callable[..., FigureResult]] = {
     "fig07": figure07,
     "fig08": figure08,

@@ -31,10 +31,11 @@ from repro.machine.cluster import Cluster
 from repro.machine.process_map import ProcessMap
 from repro.model.predict import predict_breakdown, predict_workload_breakdown
 from repro.bench.datasets import DataSeries, TimedPoint
+from repro.runtime.executor import execute
 from repro.runtime.spec import PointSpec
 from repro.utils.statistics import min_of_runs
 
-__all__ = ["BenchmarkHarness", "PAPER_MESSAGE_SIZES", "PAPER_NODE_COUNTS", "TimedPoint"]
+__all__ = ["BenchmarkHarness", "PAPER_MESSAGE_SIZES", "PAPER_NODE_COUNTS", "TimedPoint", "run_spec"]
 
 #: Per-destination message sizes the paper sweeps (4 B to 4096 B).
 PAPER_MESSAGE_SIZES: tuple[int, ...] = (4, 16, 64, 256, 1024, 4096)
@@ -43,6 +44,68 @@ PAPER_MESSAGE_SIZES: tuple[int, ...] = (4, 16, 64, 256, 1024, 4096)
 PAPER_NODE_COUNTS: tuple[int, ...] = (2, 4, 8, 16, 32)
 
 _ENGINES = ("simulate", "model")
+
+
+def run_spec(spec: PointSpec) -> TimedPoint:
+    """Execute one spec in-process; the inline path and the executor's worker both land here.
+
+    The spec is self-contained: cluster, ppn, engine and repetitions all
+    come from it, so the inline path and the worker-pool path produce
+    identical results for any spec.
+    """
+    pmap = ProcessMap(spec.cluster, ppn=spec.ppn, num_nodes=spec.num_nodes)
+    options = dict(spec.options)
+    if spec.phases is not None:
+        from repro.core.runner import run_phased  # deferred: phased only
+
+        jobs = spec.phased_jobs()
+        return _timed_min(
+            lambda: run_phased(
+                jobs, pmap, validate=False, keep_job=False, faults=spec.faults,
+            ),
+            spec.repetitions,
+        )
+    if spec.trace is not None:
+        matrix = spec.matrix()
+        if matrix.nprocs != pmap.nprocs:
+            raise ConfigurationError(
+                f"traffic matrix describes {matrix.nprocs} ranks but the spec "
+                f"point uses {pmap.nprocs} ({spec.num_nodes} nodes x {spec.ppn} ppn)"
+            )
+        if spec.engine == "model":
+            breakdown = predict_workload_breakdown(spec.algorithm, pmap, matrix, **options)
+            return TimedPoint(seconds=breakdown.total, phases=dict(breakdown.phases))
+        return _timed_min(
+            lambda: run_workload(
+                spec.algorithm, pmap, matrix, validate=False, keep_job=False,
+                fold=spec.fold, faults=spec.faults,
+                **options
+            ),
+            spec.repetitions,
+        )
+    if spec.engine == "model":
+        breakdown = predict_breakdown(spec.algorithm, pmap, spec.msg_bytes, **options)
+        return TimedPoint(seconds=breakdown.total, phases=dict(breakdown.phases))
+    return _timed_min(
+        lambda: run_alltoall(
+            spec.algorithm, pmap, spec.msg_bytes, validate=False, keep_job=False,
+            fold=spec.fold, faults=spec.faults,
+            **options
+        ),
+        spec.repetitions,
+    )
+
+
+def _timed_min(run_once, repetitions: int) -> TimedPoint:
+    """Minimum-of-repetitions timing; the phase breakdown comes from the fastest run."""
+    samples: list[float] = []
+    best = None
+    for _ in range(repetitions):
+        outcome = run_once()
+        samples.append(outcome.elapsed)
+        if best is None or outcome.elapsed < best.elapsed:
+            best = outcome
+    return TimedPoint(seconds=min_of_runs(samples), phases=dict(best.phase_times))
 
 
 class BenchmarkHarness:
@@ -149,71 +212,8 @@ class BenchmarkHarness:
             faults=self.faults, **spec_kwargs,
         )
 
-    def run_spec(self, spec: PointSpec) -> TimedPoint:
-        """Execute one spec in-process (the executor's worker also lands here).
-
-        The spec is self-contained and wins over the harness configuration:
-        cluster, ppn, engine and repetitions all come from the spec, so the
-        inline path and the worker-pool path (which rebuilds a harness from
-        the spec) produce identical results for any spec.
-        """
-        pmap = ProcessMap(spec.cluster, ppn=spec.ppn, num_nodes=spec.num_nodes)
-        options = dict(spec.options)
-        if spec.phases is not None:
-            from repro.core.runner import run_phased  # deferred: phased only
-
-            jobs = spec.phased_jobs()
-            return self._timed_min(
-                lambda: run_phased(
-                    jobs, pmap, validate=False, keep_job=False, faults=spec.faults,
-                ),
-                spec.repetitions,
-            )
-        if spec.trace is not None:
-            matrix = spec.matrix()
-            if matrix.nprocs != pmap.nprocs:
-                raise ConfigurationError(
-                    f"traffic matrix describes {matrix.nprocs} ranks but the spec "
-                    f"point uses {pmap.nprocs} ({spec.num_nodes} nodes x {spec.ppn} ppn)"
-                )
-            if spec.engine == "model":
-                breakdown = predict_workload_breakdown(spec.algorithm, pmap, matrix, **options)
-                return TimedPoint(seconds=breakdown.total, phases=dict(breakdown.phases))
-            return self._timed_min(
-                lambda: run_workload(
-                    spec.algorithm, pmap, matrix, validate=False, keep_job=False,
-                    fold=spec.fold, faults=spec.faults,
-                    **options
-                ),
-                spec.repetitions,
-            )
-        if spec.engine == "model":
-            breakdown = predict_breakdown(spec.algorithm, pmap, spec.msg_bytes, **options)
-            return TimedPoint(seconds=breakdown.total, phases=dict(breakdown.phases))
-        return self._timed_min(
-            lambda: run_alltoall(
-                spec.algorithm, pmap, spec.msg_bytes, validate=False, keep_job=False,
-                fold=spec.fold, faults=spec.faults,
-                **options
-            ),
-            spec.repetitions,
-        )
-
     def run_specs(self, specs: list[PointSpec]) -> list[TimedPoint]:
-        if self.executor is None:
-            return [self.run_spec(spec) for spec in specs]
-        return self.executor.run(specs)
-
-    def _timed_min(self, run_once, repetitions: int | None = None) -> TimedPoint:
-        """Minimum-of-repetitions timing; the phase breakdown comes from the fastest run."""
-        samples: list[float] = []
-        best = None
-        for _ in range(repetitions if repetitions is not None else self.repetitions):
-            outcome = run_once()
-            samples.append(outcome.elapsed)
-            if best is None or outcome.elapsed < best.elapsed:
-                best = outcome
-        return TimedPoint(seconds=min_of_runs(samples), phases=dict(best.phase_times))
+        return execute(specs, self.executor)
 
     # -- sweeps ----------------------------------------------------------------
     def size_sweep(

@@ -537,7 +537,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
             print()
         if args.headline:
             print(format_speedup_summary(
-                headline_speedup(executor=executor, faults=faults)))
+                headline_speedup(cluster, ppn=ppn, engine=args.engine, executor=executor,
+                                 faults=faults)))
     finally:
         _finish_executor(executor)
     return 0

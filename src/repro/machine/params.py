@@ -174,7 +174,7 @@ class MachineParameters:
 
     # -- convenience ----------------------------------------------------
     def with_overrides(self, **kwargs) -> "MachineParameters":
-        """Return a copy with some fields replaced (used by ablation benches)."""
+        """Return a copy with some fields replaced (used by ablation studies)."""
         return replace(self, **kwargs)
 
     def scale_level(self, level: LocalityLevel, *, latency_factor: float = 1.0,

@@ -22,13 +22,10 @@ __all__ = ["run_point"]
 def run_point(spec: PointSpec) -> "TimedPoint":
     """Execute one benchmark point and return its timing.
 
-    Builds a fresh :class:`~repro.bench.harness.BenchmarkHarness` from the
-    spec (each worker process gets its own simulator state) and runs the
-    point through the engine the spec names.
+    Runs the point through :func:`repro.bench.harness.run_spec`, which takes
+    everything (cluster, ppn, engine, repetitions) from the spec, so each
+    worker process builds its own simulator state.
     """
-    from repro.bench.harness import BenchmarkHarness  # deferred to break the import cycle
+    from repro.bench.harness import run_spec  # deferred to break the import cycle
 
-    harness = BenchmarkHarness(
-        spec.cluster, spec.ppn, engine=spec.engine, repetitions=spec.repetitions
-    )
-    return harness.run_spec(spec)
+    return run_spec(spec)

@@ -60,6 +60,16 @@ class TestFigureResult:
     def test_speedup_over(self):
         fig = _sample_figure()
         assert fig.speedup_over("slow", 4) == pytest.approx(3.0)
+        # The baseline is never its own competitor: a fastest baseline reads below 1.
+        assert fig.speedup_over("fast", 4) == pytest.approx(1 / 3)
+
+    def test_speedup_over_needs_another_series_at_x(self):
+        fig = _sample_figure()
+        extra = DataSeries("extra")
+        extra.add(256, 1.0e-4)
+        fig.add_series(extra)
+        with pytest.raises(ConfigurationError, match="without 'extra'"):
+            fig.speedup_over("extra", 256)
 
 
 class TestReporting:

@@ -1,14 +1,13 @@
-"""Tests of the benchmark harness (both engines) and the ablation sweeps."""
+"""Tests of the benchmark harness on both engines.
+
+The paper-scale ablation sweeps (group size, inner exchange, injection
+bandwidth, matching cost) are checked in
+``tests/integration/test_paper_trends.py``.
+"""
 
 import pytest
 
 from repro.bench.harness import PAPER_MESSAGE_SIZES, PAPER_NODE_COUNTS, BenchmarkHarness
-from repro.bench.sweep import (
-    group_size_sweep,
-    injection_bandwidth_sweep,
-    inner_exchange_sweep,
-    matching_cost_sweep,
-)
 from repro.core.instrumentation import PHASE_INTER
 from repro.errors import ConfigurationError
 from repro.machine.systems import dane, tiny_cluster
@@ -85,28 +84,6 @@ class TestHarnessSimulateEngine:
         series = harness.size_sweep("pairwise", msg_sizes=(16,), num_nodes=4)
         direct = run_alltoall("pairwise", harness.process_map(4), 16, validate=False, keep_job=False)
         assert series.at(16).seconds == pytest.approx(direct.elapsed)
-
-
-class TestAblationSweeps:
-    def test_inner_exchange_sweep(self):
-        fig = inner_exchange_sweep(dane(32), 112, msg_sizes=(4, 4096))
-        assert set(fig.labels()) == {"pairwise", "nonblocking", "bruck"}
-
-    def test_group_size_sweep_covers_divisors(self):
-        series = group_size_sweep(dane(32), 112, msg_bytes=4096, group_sizes=(4, 8, 16, 112))
-        assert series.xs() == [4, 8, 16, 112]
-        assert all(y > 0 for y in series.ys())
-
-    def test_injection_bandwidth_sweep_monotone(self):
-        series = injection_bandwidth_sweep(dane(32), 112, msg_bytes=4096, factors=(0.5, 1.0, 4.0))
-        # More injection bandwidth never makes the exchange slower.
-        ys = series.ys()
-        assert ys[0] >= ys[1] >= ys[2]
-
-    def test_matching_cost_sweep_monotone(self):
-        series = matching_cost_sweep(dane(32), 112, msg_bytes=1024, factors=(0.0, 1.0, 8.0))
-        ys = series.ys()
-        assert ys[0] <= ys[1] <= ys[2]
 
 
 class TestRepetitionPhaseConsistency:

@@ -114,6 +114,21 @@ class TestFiguresSystemFlags:
         assert main(["figures", "--id", "fig17"]) == 0
         assert "amber" in capsys.readouterr().out
 
+    @staticmethod
+    def _headline(out: str) -> str:
+        return out[out.index("Speedup of the best novel algorithm"):]
+
+    def test_headline_honours_system(self, capsys):
+        assert main(["figures", "--id", "fig07", "--system", "amber", "--headline"]) == 0
+        assert "(amber: up to 32 nodes x 112 ppn, engine=model)" in self._headline(
+            capsys.readouterr().out)
+
+    def test_headline_honours_engine_shape_and_faults(self, capsys):
+        assert main(["figures", "--id", "fig07", "--engine", "simulate", "--nodes", "2",
+                     "--ppn", "4", "--faults", "os-noise:1e-6", "--headline"]) == 0
+        assert "(dane: up to 2 nodes x 4 ppn, engine=simulate)" in self._headline(
+            capsys.readouterr().out)
+
 
 class TestWorkloadCommand:
     def test_skewed_moe_end_to_end(self, capsys):

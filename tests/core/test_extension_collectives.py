@@ -12,6 +12,7 @@ from repro.core.extensions import (
 from repro.errors import BufferSizeError, CommunicatorError, ConfigurationError
 from repro.machine import ProcessMap, tiny_cluster
 from repro.machine.hierarchy import LocalityLevel
+from repro.machine.systems import dane
 from repro.simmpi import run_spmd
 
 
@@ -48,6 +49,22 @@ class TestLocalityAwareAllgather:
         grouped = run_spmd(pmap, program, 8)    # whole-node groups
         flat_msgs = flat.traffic_by_level.get(LocalityLevel.NETWORK, (0, 0))[0]
         grouped_msgs = grouped.traffic_by_level.get(LocalityLevel.NETWORK, (0, 0))[0]
+        assert grouped_msgs < flat_msgs
+
+    def test_fewer_inter_node_messages_than_flat_ring(self):
+        """Default grouping on dane(8) x 8, 64 items: 448 inter-node messages against the ring's 504."""
+        dane_pmap = ProcessMap(dane(8), ppn=8, num_nodes=8)
+
+        def grouped(ctx):
+            recv = np.zeros(64 * ctx.nprocs, dtype=np.int64)
+            yield from locality_aware_allgather(ctx, np.full(64, ctx.rank, dtype=np.int64), recv)
+
+        def flat(ctx):
+            recv = np.zeros(64 * ctx.nprocs, dtype=np.int64)
+            yield from ctx.world.allgather(np.full(64, ctx.rank, dtype=np.int64), recv)
+
+        grouped_msgs = run_spmd(dane_pmap, grouped).traffic_by_level[LocalityLevel.NETWORK][0]
+        flat_msgs = run_spmd(dane_pmap, flat).traffic_by_level[LocalityLevel.NETWORK][0]
         assert grouped_msgs < flat_msgs
 
     def test_wrong_buffer_size_rejected(self, pmap):

@@ -107,7 +107,7 @@ class TestRunPoint:
         assert point.seconds > 0.0 and point.phases
 
     def test_inline_path_honors_foreign_spec(self):
-        """run_spec must follow the spec, not the harness it happens to run on."""
+        """run_specs must follow the spec, not the harness it happens to run on."""
         foreign = BenchmarkHarness(dane(8), 16, engine="model")
         spec = _spec()  # tiny cluster, simulate engine
         assert foreign.run_specs([spec])[0] == run_point(spec)

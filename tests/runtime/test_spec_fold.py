@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import BenchmarkHarness
+from repro.bench.harness import BenchmarkHarness, run_spec
 from repro.errors import ConfigurationError
 from repro.machine import tiny_cluster
 from repro.runtime.spec import PointSpec
@@ -48,14 +48,14 @@ def test_workload_spec_carries_fold(cluster):
 def test_harness_threads_fold_through_run_spec(cluster):
     """A folded simulate spec executes folded and matches the unfolded time."""
     harness = BenchmarkHarness(cluster, 4, engine="simulate")
-    plain = harness.run_spec(harness.point_spec("pairwise", 256, 4))
-    folded = harness.run_spec(harness.point_spec("pairwise", 256, 4, fold="on"))
+    plain = run_spec(harness.point_spec("pairwise", 256, 4))
+    folded = run_spec(harness.point_spec("pairwise", 256, 4, fold="on"))
     assert folded.seconds == plain.seconds  # exact-equivalence class
 
 
 def test_harness_fold_auto_workload(cluster):
     harness = BenchmarkHarness(cluster, 4, engine="simulate")
     matrix = uniform(16, 64)
-    plain = harness.run_spec(harness.workload_spec("pairwise", matrix, 4))
-    folded = harness.run_spec(harness.workload_spec("pairwise", matrix, 4, fold="auto"))
+    plain = run_spec(harness.workload_spec("pairwise", matrix, 4))
+    folded = run_spec(harness.workload_spec("pairwise", matrix, 4, fold="auto"))
     assert folded.seconds == plain.seconds
